@@ -17,11 +17,13 @@ raw one.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
 from array import array
 from contextlib import contextmanager
 from functools import cache
-from multiprocessing import get_context
+from pathlib import Path
 from typing import Callable, Iterator, List, Tuple, TypeVar
 
 T = TypeVar("T")
@@ -89,10 +91,36 @@ def loop_seconds() -> float:
     return time.perf_counter() - start
 
 
-def _helper_main(conn) -> None:
-    """Helper-process loop: run one calibration loop per request."""
-    while conn.recv():
-        conn.send(loop_seconds())
+#: Seconds a helper may take to exit once told to stop.
+_HELPER_EXIT_S = 5.0
+
+
+def _helper_main() -> None:
+    """Helper-process loop: one calibration loop per ``1`` line on stdin,
+    its duration printed back; any other line or EOF ends it."""
+    for line in sys.stdin:
+        if line.strip() != "1":
+            return
+        print(repr(loop_seconds()), flush=True)
+
+
+def _stop_helper(helper: subprocess.Popen) -> None:
+    """Ask a helper to exit, kill it if it does not, and reap it.
+
+    The stop line is sent explicitly rather than relying on EOF, because
+    processes forked while the helper ran may still hold its stdin.
+    """
+    for step in (lambda: helper.stdin.write("0\n"), helper.stdin.close):
+        try:
+            step()
+        except OSError:
+            pass  # the helper has already exited
+    try:
+        helper.wait(timeout=_HELPER_EXIT_S)
+    except subprocess.TimeoutExpired:
+        helper.kill()
+        helper.wait()
+    helper.stdout.close()
 
 
 class Clock:
@@ -108,7 +136,7 @@ class Clock:
     def __init__(self) -> None:
         #: Reference seconds per raw second, one entry per measurement.
         self.factors: List[float] = []
-        self._helpers: list = []
+        self._helpers: List[subprocess.Popen] = []
 
     @contextmanager
     def parallel(self, width: int) -> Iterator[None]:
@@ -116,32 +144,32 @@ class Clock:
 
         Work that keeps several CPUs busy (the campaign's worker pool)
         slows with the load on all of them, so its calibration loops run
-        concurrently here and in ``width - 1`` helper processes, which
-        idle on a pipe in between.
+        concurrently here and in ``width - 1`` helper interpreters, which
+        idle on a pipe in between.  The helpers are plain subprocesses,
+        not ``multiprocessing`` ones, so no resource-tracker process is
+        started that could outlive the run; every helper is reaped when
+        the block ends, however it ends.
         """
-        context = get_context("spawn")
-        for _ in range(width - 1):
-            parent, child = context.Pipe()
-            process = context.Process(target=_helper_main, args=(child,),
-                                      daemon=True)
-            process.start()
-            child.close()
-            self._helpers.append((process, parent))
         try:
+            for _ in range(width - 1):
+                self._helpers.append(subprocess.Popen(
+                    [sys.executable, str(Path(__file__).resolve())],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    text=True, bufsize=1))
             yield
         finally:
-            for process, conn in self._helpers:
-                conn.send(False)
-                conn.close()
-                process.join()
+            for helper in self._helpers:
+                _stop_helper(helper)
             self._helpers = []
 
     def _loop_seconds(self) -> float:
         """One calibration loop, averaged over the calibrated CPUs."""
-        for _, conn in self._helpers:
-            conn.send(True)
+        for helper in self._helpers:
+            helper.stdin.write("1\n")
+            helper.stdin.flush()
         times = [loop_seconds()]
-        times.extend(conn.recv() for _, conn in self._helpers)
+        times.extend(float(helper.stdout.readline())
+                     for helper in self._helpers)
         return sum(times) / len(times)
 
     def time(self, function: Callable[[], T]) -> Tuple[T, float, float]:
@@ -155,3 +183,7 @@ class Clock:
         factor = REFERENCE_LOOP_S * 2.0 / (before + after)
         self.factors.append(factor)
         return result, elapsed * factor, factor
+
+
+if __name__ == "__main__":
+    _helper_main()

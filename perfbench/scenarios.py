@@ -167,7 +167,7 @@ def reference_digests(workload: str, specs: Sequence[RunSpec],
     if jobs <= 1 or len(specs) == 1:
         return {cell_key(spec): per_op_digest(spec) for spec in specs}
     with ProcessPoolExecutor(max_workers=jobs,
-                             mp_context=get_context("spawn")) as pool:
+                             mp_context=get_context("fork")) as pool:
         digests = list(pool.map(per_op_digest, specs))
     return {cell_key(spec): value for spec, value in zip(specs, digests)}
 
@@ -184,7 +184,7 @@ def record_reference(jobs: int) -> Path:
     for workload in WORKLOADS:
         specs = workload_specs(workload, DEFAULT_SEED)
         with ProcessPoolExecutor(max_workers=max(1, jobs),
-                                 mp_context=get_context("spawn")) as pool:
+                                 mp_context=get_context("fork")) as pool:
             digests = list(pool.map(per_op_digest, specs))
         workloads[workload] = {
             "instructions": _recorded_sizes()[workload],
