@@ -38,10 +38,11 @@ class SetAssociativeCache:
         rng = rng or DeterministicRng(0)
         self._policy = make_replacement_policy(
             config.replacement, config.associativity, rng)
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(self.associativity)]
-            for _ in range(self.num_sets)
-        ]
+        # Ways are built on first fill: a set holds only the ways it has
+        # ever used, in way order, so construction costs nothing per line.
+        # Every way not yet built is invalid and sits above every built
+        # one, so appending one is exactly the "first invalid way" choice.
+        self._sets: List[List[CacheLine]] = [[] for _ in range(self.num_sets)]
         # Tag index: line address -> (set index, way) of the line installed
         # by the last fill of that address.  Entries are verified against
         # the line before use (fills and invalidations may leave them
@@ -164,14 +165,19 @@ class SetAssociativeCache:
             existing.dirty = existing.dirty or dirty
             existing.touch(now)
             return existing, None
-        # Prefer an invalid way before consulting the replacement policy.
+        # Prefer an invalid way before consulting the replacement policy,
+        # which only ever sees full sets.
         victim_way = None
         for way, line in enumerate(cache_set):
             if line.state is I:
                 victim_way = way
                 break
         if victim_way is None:
-            victim_way = self._policy.victim(set_idx, cache_set)
+            if len(cache_set) < self.associativity:
+                victim_way = len(cache_set)
+                cache_set.append(CacheLine())
+            else:
+                victim_way = self._policy.victim(set_idx, cache_set)
         victim_line = cache_set[victim_way]
         victim_copy: Optional[CacheLine] = None
         old_address = victim_line.address

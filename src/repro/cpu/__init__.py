@@ -3,7 +3,6 @@
 from repro.cpu.branch_predictor import (
     BranchTargetBuffer,
     ReturnAddressStack,
-    SaturatingCounter,
     TournamentPredictor,
 )
 from repro.cpu.core import CoreResult, OutOfOrderCore
@@ -30,7 +29,6 @@ __all__ = [
     "ReorderBuffer",
     "RetirementWindow",
     "ReturnAddressStack",
-    "SaturatingCounter",
     "StoreQueue",
     "TournamentPredictor",
     "WrongPathAccess",

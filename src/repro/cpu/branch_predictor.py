@@ -17,24 +17,10 @@ from repro.common.params import BranchPredictorConfig
 from repro.common.statistics import StatGroup
 
 
-class SaturatingCounter:
-    """An n-bit saturating counter used by all the predictor tables."""
-
-    __slots__ = ("value", "maximum")
-
-    def __init__(self, bits: int = 2, initial: Optional[int] = None) -> None:
-        self.maximum = (1 << bits) - 1
-        self.value = initial if initial is not None else (self.maximum + 1) // 2
-
-    @property
-    def taken(self) -> bool:
-        return self.value > self.maximum // 2
-
-    def update(self, taken: bool) -> None:
-        if taken:
-            self.value = min(self.maximum, self.value + 1)
-        else:
-            self.value = max(0, self.value - 1)
+#: Next value of a 2-bit saturating counter (0..3, taken iff above 1),
+#: indexed by its current value, after a taken / not-taken outcome.
+_STEP_TAKEN = (1, 2, 3, 3)
+_STEP_NOT_TAKEN = (0, 0, 1, 2)
 
 
 class BranchTargetBuffer:
@@ -88,12 +74,11 @@ class TournamentPredictor:
                  stats: Optional[StatGroup] = None) -> None:
         self.config = config or BranchPredictorConfig()
         self._local_history: List[int] = [0] * self.config.local_entries
-        self._local_counters = [SaturatingCounter()
-                                for _ in range(self.config.local_entries)]
-        self._global_counters = [SaturatingCounter()
-                                 for _ in range(self.config.global_entries)]
-        self._chooser = [SaturatingCounter()
-                         for _ in range(self.config.chooser_entries)]
+        # Every table entry is a 2-bit saturating counter held as a plain
+        # int (see _STEP_TAKEN); all start weakly taken.
+        self._local_counters: List[int] = [2] * self.config.local_entries
+        self._global_counters: List[int] = [2] * self.config.global_entries
+        self._chooser: List[int] = [2] * self.config.chooser_entries
         self._global_history = 0
         self.btb = BranchTargetBuffer(self.config.btb_entries)
         self.ras = ReturnAddressStack(self.config.ras_entries)
@@ -119,9 +104,9 @@ class TournamentPredictor:
         self._predictions.increment()
         local_idx = self._local_index(pc)
         pattern = self._local_history[local_idx] % self.config.local_entries
-        local_prediction = self._local_counters[pattern].taken
-        global_prediction = self._global_counters[self._global_index(pc)].taken
-        use_global = self._chooser[self._chooser_index(pc)].taken
+        local_prediction = self._local_counters[pattern] > 1
+        global_prediction = self._global_counters[self._global_index(pc)] > 1
+        use_global = self._chooser[self._chooser_index(pc)] > 1
         return global_prediction if use_global else local_prediction
 
     def predict_target(self, pc: int) -> Optional[int]:
@@ -135,11 +120,11 @@ class TournamentPredictor:
         """Update all structures; returns True if the branch was mispredicted."""
         local_idx = self._local_index(pc)
         pattern = self._local_history[local_idx] % self.config.local_entries
-        local_prediction = self._local_counters[pattern].taken
+        local_prediction = self._local_counters[pattern] > 1
         global_idx = self._global_index(pc)
-        global_prediction = self._global_counters[global_idx].taken
+        global_prediction = self._global_counters[global_idx] > 1
         chooser_idx = self._chooser_index(pc)
-        use_global = self._chooser[chooser_idx].taken
+        use_global = self._chooser[chooser_idx] > 1
         prediction = global_prediction if use_global else local_prediction
 
         mispredicted = prediction != taken
@@ -153,9 +138,13 @@ class TournamentPredictor:
 
         # Chooser trains toward whichever component was right.
         if local_prediction != global_prediction:
-            self._chooser[chooser_idx].update(global_prediction == taken)
-        self._local_counters[pattern].update(taken)
-        self._global_counters[global_idx].update(taken)
+            step = (_STEP_TAKEN if global_prediction == taken
+                    else _STEP_NOT_TAKEN)
+            self._chooser[chooser_idx] = step[self._chooser[chooser_idx]]
+        step = _STEP_TAKEN if taken else _STEP_NOT_TAKEN
+        self._local_counters[pattern] = step[self._local_counters[pattern]]
+        self._global_counters[global_idx] = step[
+            self._global_counters[global_idx]]
         self._local_history[local_idx] = (
             (self._local_history[local_idx] << 1) | int(taken)) & 0x3FF
         self._global_history = (

@@ -121,12 +121,12 @@ def run_cell(spec: RunSpec) -> SimulationResult:
     with phase("pack"):
         for trace in workload:
             trace.packed()
-    with phase("simulate"):
+    with phase("build"):
         cores_needed = max(1, spec.profile.num_threads)
         system_config = spec.config.with_cores(max(spec.config.num_cores,
                                                    cores_needed))
-        system = build_system(system_config, seed=spec.seed)
-        simulator = Simulator(system)
+        simulator = Simulator(build_system(system_config, seed=spec.seed))
+    with phase("simulate"):
         return simulator.run(workload, collect_stats=spec.collect_stats,
                              warmup_fraction=spec.warmup_fraction)
 

@@ -42,6 +42,7 @@ from multiprocessing import connection, get_context
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.telemetry.log import get_logger, log_event
+from repro.telemetry.phases import PHASES
 
 #: Environment variable: per-cell timeout in seconds (unset = no timeout).
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
@@ -247,7 +248,8 @@ class SerialExecutor(Executor):
 
 def _worker_main(conn) -> None:
     """Worker-process loop: receive (key, spec, attempt), reply with the
-    result or the error description; exit on the ``None`` sentinel / EOF.
+    result or the error description, the seconds taken and the cell's
+    phase timings; exit on the ``None`` sentinel / EOF.
 
     SIGINT is ignored so a Ctrl-C in the supervisor's terminal (delivered
     to the whole process group) doesn't race the supervisor's own
@@ -267,6 +269,9 @@ def _worker_main(conn) -> None:
         if message is None:
             return
         key, spec, attempt = message
+        # The fork copied the supervisor's phase totals: start each cell
+        # from zero so the reply carries this cell's phases alone.
+        PHASES.reset()
         started = time.perf_counter()
         try:
             plan = active_fault_plan()
@@ -277,6 +282,7 @@ def _worker_main(conn) -> None:
         except BaseException as exc:  # noqa: BLE001 — reported, not hidden
             reply = ("error", f"{type(exc).__name__}: {exc}",
                      time.perf_counter() - started)
+        reply += (PHASES.totals(), PHASES.counts())
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -461,8 +467,9 @@ class PoolExecutor(Executor):
                                                  on_failure)
                     continue
                 worker.task, worker.deadline = None, None
-                kind, payload, seconds = reply
+                kind, payload, seconds, phase_totals, phase_counts = reply
                 task.seconds += seconds
+                PHASES.merge(phase_totals, phase_counts)
                 if kind == "ok":
                     on_complete(task.key, task.spec, payload, seconds)
                     settled += 1

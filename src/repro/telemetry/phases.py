@@ -10,9 +10,12 @@ sense.  :func:`phase` times a block against the process-wide
         result = simulator.run(workload)
 
 ``python -m repro run --profile ...`` prints the accumulated phase report
-next to the cProfile output.  Phase timing measures harness wall-clock,
-never simulated time, and costs two ``perf_counter`` calls per block — it
-is always on; only the *report* is gated behind ``--profile``.
+next to the cProfile output.  Pool workers time their cells against their
+own copy of :data:`PHASES` and ship it back with each result, which the
+executor merges here, so the report covers parallel campaigns too.
+Phase timing measures harness wall-clock, never simulated time, and costs
+two ``perf_counter`` calls per block — it is always on; only the *report*
+is gated behind ``--profile``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,12 @@ class PhaseTimers:
         """Record an externally measured duration (e.g. from a worker)."""
         self._totals[name] = self._totals.get(name, 0.0) + seconds
         self._counts[name] = self._counts.get(name, 0) + 1
+
+    def merge(self, totals: Dict[str, float], counts: Dict[str, int]) -> None:
+        """Add another accumulator's totals and counts (a pool worker's)."""
+        for name, seconds in totals.items():
+            self._totals[name] = self._totals.get(name, 0.0) + seconds
+            self._counts[name] = self._counts.get(name, 0) + counts[name]
 
     def totals(self) -> Dict[str, float]:
         return dict(self._totals)

@@ -18,10 +18,26 @@ from repro.common.params import CacheConfig
 from repro.common.rng import DeterministicRng
 
 
-def small_cache(size=1024, assoc=2, line=64, name="l1"):
+def small_cache(size=1024, assoc=2, line=64, name="l1", replacement="lru"):
     return SetAssociativeCache(CacheConfig(name=name, size_bytes=size,
                                            associativity=assoc,
-                                           line_size=line, hit_latency=2))
+                                           line_size=line, hit_latency=2,
+                                           replacement=replacement))
+
+
+def eager_twin(cache):
+    """The same cache with every way built up front, invalid."""
+    twin = SetAssociativeCache(cache.config)
+    twin._sets = [[CacheLine() for _ in range(twin.associativity)]
+                  for _ in range(twin.num_sets)]
+    return twin
+
+
+def built_lines(cache):
+    return sum(len(cache_set) for cache_set in cache._sets)
+
+
+REPLACEMENTS = st.sampled_from(["lru", "random", "plru"])
 
 
 class TestLookupAndFill:
@@ -59,6 +75,21 @@ class TestLookupAndFill:
                    writeback_handler=lambda line: written_back.append(
                        line.address))
         assert written_back == [0x0]
+
+    def test_ways_are_built_on_first_fill_in_index_order(self):
+        cache = small_cache(size=256, assoc=4, line=64)   # 1 set, 4 ways
+        assert built_lines(cache) == 0
+        for way, address in enumerate((0x0, 0x40, 0x80)):
+            cache.fill(address, S, now=way)
+            assert built_lines(cache) == way + 1
+            assert cache._sets[0][way].address == address
+        # An invalidated way is reused before a new way is built.
+        cache.invalidate(0x40)
+        cache.invalidate(0x0)
+        cache.fill(0xC0, S, now=3)
+        assert cache._sets[0][0].address == 0xC0
+        assert built_lines(cache) == 3
+        assert cache.set_addresses(0) == [0xC0, 0x80]
 
     def test_invalidate_and_flush(self):
         cache = small_cache()
@@ -162,23 +193,59 @@ class TestWriteBuffer:
 
 @settings(max_examples=30, deadline=None)
 @given(addresses=st.lists(st.integers(min_value=0, max_value=1 << 20),
-                          min_size=1, max_size=200))
-def test_cache_occupancy_never_exceeds_capacity(addresses):
-    """Property: a cache never holds more lines than its geometry allows."""
-    cache = small_cache(size=512, assoc=2, line=64)
+                          min_size=1, max_size=200),
+       invalidations=st.lists(st.integers(min_value=0, max_value=1 << 20),
+                              max_size=200),
+       replacement=REPLACEMENTS)
+def test_cache_occupancy_never_exceeds_capacity(addresses, invalidations,
+                                                replacement):
+    """Property: a cache never holds more lines than its geometry allows.
+
+    It also places, evicts and invalidates lines exactly as the same cache
+    with every way built up front: ways are built in index order, the
+    lowest invalid way is reused first, and the replacement policy picks
+    victims only in full sets.  Fill ``i`` is followed by invalidating
+    one earlier address when ``invalidations[i]`` picks one.
+    """
+    cache = small_cache(size=512, assoc=2, line=64, replacement=replacement)
+    eager = eager_twin(cache)
+    assert built_lines(cache) == 0
     for now, address in enumerate(addresses):
-        cache.fill(address, S, now=now)
+        cache_set = cache._sets[cache.set_index_of(address)]
+        was_full = (len(cache_set) == cache.associativity
+                    and all(line.valid for line in cache_set))
+        line, victim = cache.fill(address, S, now=now)
+        eager_line, eager_victim = eager.fill(address, S, now=now)
+        assert line == eager_line and victim == eager_victim
+        assert victim is None or was_full
+        line_address = cache.line_address(address)
+        assert (cache._tag_index[line_address]
+                == eager._tag_index[line_address])
         assert cache.occupancy() <= cache.config.num_lines
         assert cache.contains(address)
+        if now < len(invalidations):
+            target = addresses[invalidations[now] % (now + 1)]
+            assert cache.invalidate(target) == eager.invalidate(target)
+        assert cache.resident_lines() == eager.resident_lines()
 
 
 @settings(max_examples=30, deadline=None)
 @given(addresses=st.lists(st.integers(min_value=0, max_value=1 << 16),
-                          min_size=1, max_size=100))
-def test_flush_leaves_cache_empty(addresses):
-    cache = small_cache(size=1024, assoc=4, line=64)
+                          min_size=1, max_size=100),
+       replacement=REPLACEMENTS)
+def test_flush_leaves_cache_empty(addresses, replacement):
+    """Flushing partly built sets drops exactly the resident lines."""
+    cache = small_cache(size=1024, assoc=4, line=64, replacement=replacement)
     for now, address in enumerate(addresses):
         cache.fill(address, E, now=now)
-    cache.flush_all()
+    resident = {cache.line_address(address) for address in addresses
+                if cache.contains(address)}
+    assert {line.address for line in cache.resident_lines()} == resident
+    assert sorted(address for set_idx in range(cache.num_sets)
+                  for address in cache.set_addresses(set_idx)) \
+        == sorted(resident)
+    assert cache.flush_all() == len(resident)
     assert cache.occupancy() == 0
     assert all(not cache.contains(address) for address in addresses)
+    assert all(cache.set_addresses(set_idx) == []
+               for set_idx in range(cache.num_sets))

@@ -8,7 +8,6 @@ from repro.core.muontrap import MuonTrapMemorySystem
 from repro.cpu.branch_predictor import (
     BranchTargetBuffer,
     ReturnAddressStack,
-    SaturatingCounter,
     TournamentPredictor,
 )
 from repro.cpu.core import OutOfOrderCore
@@ -17,14 +16,22 @@ from repro.cpu.rob import LoadQueue, ReorderBuffer
 
 
 class TestBranchPredictorComponents:
-    def test_saturating_counter(self):
-        counter = SaturatingCounter(bits=2, initial=0)
-        assert not counter.taken
-        for _ in range(5):
-            counter.update(True)
-        assert counter.taken and counter.value == 3
-        counter.update(False)
-        assert counter.value == 2
+    def test_predictor_counters_saturate_and_flip(self):
+        predictor = TournamentPredictor(BranchPredictorConfig())
+        tables = (predictor._local_counters, predictor._global_counters,
+                  predictor._chooser)
+        for _ in range(100):
+            predictor.update(0x400, True, 0x800)
+        assert predictor.predict(0x400)
+        for _ in range(100):
+            predictor.update(0x400, False)
+        assert not predictor.predict(0x400)
+        for table in tables:
+            assert all(0 <= value <= 3 for value in table)
+        # Each run drove the global entries it kept hitting into
+        # saturation, one at each end.
+        assert max(predictor._global_counters) == 3
+        assert min(predictor._global_counters) == 0
 
     def test_btb_and_ras(self):
         btb = BranchTargetBuffer(entries=16)

@@ -1,12 +1,18 @@
 """Tests for the hierarchy, system builder, simulator and experiment runner."""
 
+import tracemalloc
+
 import pytest
 
 from repro.baselines.invisispec import InvisiSpecMemorySystem
 from repro.baselines.stt import STTMemorySystem
 from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.caches.hierarchy import NonSpeculativeHierarchy
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import (
+    ProtectionMode,
+    SystemConfig,
+    parsec_system_config,
+)
 from repro.core.muontrap import MuonTrapMemorySystem
 from repro.sim.runner import (
     ExperimentRunner,
@@ -104,6 +110,22 @@ class TestSystemBuilder:
     def test_process_ids_must_match_core_count(self):
         with pytest.raises(ValueError):
             build_system(SystemConfig(num_cores=2), process_ids=[0])
+
+    def test_build_system_allocates_in_proportion_to_use(self):
+        # Host-independent construction-cost gate: cache ways and
+        # predictor counters must not be allocated up front.  The 4-core
+        # MuonTrap machine allocates about 1 MiB this way; building every
+        # way and a counter object per predictor entry takes over 8 MiB.
+        config = parsec_system_config(ProtectionMode.MUONTRAP)
+        build_system(config, seed=1)        # first use imports modules
+        tracemalloc.start()
+        try:
+            system = build_system(config, seed=1)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.num_cores == 4
+        assert allocated < 2 * 1024 * 1024
 
 
 class TestSimulator:

@@ -131,6 +131,28 @@ class TestPhaseTimers:
         make_campaign().run()
         assert PHASES.counts().get("simulate", 0) >= before + 2
 
+    def test_merge_adds_another_accumulator(self):
+        worker = PhaseTimers()
+        worker.add("build", 0.5)
+        worker.add("build", 0.25)
+        timers = PhaseTimers()
+        timers.add("build", 1.0)
+        timers.merge(worker.totals(), worker.counts())
+        assert timers.counts() == {"build": 3}
+        assert timers.totals()["build"] == pytest.approx(1.75)
+
+    def test_pool_workers_ship_each_cell_phases_once(self):
+        from repro.telemetry.phases import PHASES
+        # Recorded before the pool forks: workers must not send it back.
+        PHASES.add("before-fork", 1.0)
+        before = PHASES.counts()
+        result = make_campaign(jobs=2).run()
+        assert result.stats.workers == 2
+        after = PHASES.counts()
+        assert after["before-fork"] == before["before-fork"]
+        for name in ("trace-gen", "pack", "build", "simulate"):
+            assert after[name] == before.get(name, 0) + 2
+
 
 class TestLogging:
     @pytest.fixture(autouse=True)
