@@ -2,31 +2,22 @@
 """Hot-path engine throughput benchmark (the CI perf-smoke gate).
 
 Runs a fixed workload (default: 200k instructions of ``mcf``) through every
-protection scheme on all three engines:
+protection scheme on two arms:
 
-* **vectorized** — the production default: cached trace generation plus the
-  plan-driven ``run_vectorized`` engine (batched simple-op runs, numpy
-  array recurrences where available);
-* **packed** — the scalar fast path: cached trace generation plus the
+* **packed** — the production engine: cached trace generation plus the
   zero-allocation ``run_packed`` loop;
 * **legacy** — the pre-overhaul shape of the engine: fresh trace generation
   for every cell plus the per-op ``execute_op`` loop.
 
-and reports ops/sec per scheme plus the end-to-end speedups (each fast
-engine vs legacy).  A campaign-level benchmark then times a parallel
-campaign twice — with the fork-inherited shared trace registry on and off —
-to cover the harness path (pre-fork materialisation, worker attach) that
-the per-cell loop above cannot see.  Results are written to
-``BENCH_hotpath.json``.
+and reports ops/sec per scheme plus the end-to-end speedup (packed vs
+legacy).  Results are written to ``BENCH_hotpath.json``.
 
 ``--check`` compares against a checked-in baseline
-(``benchmarks/baseline_hotpath.json``) and exits non-zero when either fast
-engine regresses.  The gating metric is the per-engine *speedup ratio over
-legacy*, which is stable across machines; absolute ops/sec numbers vary
-with the host CPU, so they are reported but compared only against the floor
-implied by the same tolerance applied to the measured speedup.  The
-campaign numbers are informational (two-job pool scheduling is too noisy
-for a ratio gate).
+(``benchmarks/baseline_hotpath.json``) and exits non-zero when the packed
+engine regresses.  The gating metric is its *speedup ratio over legacy*,
+which is stable across machines; absolute ops/sec numbers vary with the
+host CPU, so they are reported but compared only against the floor implied
+by the same tolerance applied to the measured speedup.
 
 Usage::
 
@@ -49,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -89,34 +79,14 @@ TELEMETRY_TOLERANCE = 0.02
 #: deterministic call counts (not noisy wall-clock) are the gated metric.
 TELEMETRY_INSTRUCTIONS = 20_000
 
-#: The campaign-level benchmark: a small matrix run through the parallel
-#: harness (pool executor + shared trace registry), sized so the traces —
-#: not the pool spin-up — dominate what trace sharing can save.
-CAMPAIGN_BENCHMARKS = ["mcf", "hmmer", "lbm", "povray"]
-CAMPAIGN_INSTRUCTIONS = 20_000
-CAMPAIGN_JOBS = 2
-
-
-def _run_vectorized(profile, mode: str, instructions: int,
-                    seed: int) -> tuple:
-    """One production-default cell: cached generation + vectorized engine."""
-    config = SystemConfig(mode=mode).with_cores(max(1, profile.num_threads))
-    started = time.perf_counter()
-    workload = generate_workload(profile, instructions, seed=seed)
-    simulator = Simulator(build_system(config, seed=seed), use_packed=True,
-                          use_vectorized=True)
-    result = simulator.run(workload, warmup_fraction=0.35)
-    return time.perf_counter() - started, result
-
 
 def _run_packed(profile, mode: str, instructions: int,
                 seed: int) -> tuple:
-    """One scalar-fast-path cell: cached generation + packed engine."""
+    """One production cell: cached generation + packed engine."""
     config = SystemConfig(mode=mode).with_cores(max(1, profile.num_threads))
     started = time.perf_counter()
     workload = generate_workload(profile, instructions, seed=seed)
-    simulator = Simulator(build_system(config, seed=seed), use_packed=True,
-                          use_vectorized=False)
+    simulator = Simulator(build_system(config, seed=seed), use_packed=True)
     result = simulator.run(workload, warmup_fraction=0.35)
     return time.perf_counter() - started, result
 
@@ -135,9 +105,8 @@ def _run_legacy(profile, mode: str, instructions: int,
 def run_benchmark(benchmark: str, instructions: int, seed: int,
                   skip_legacy: bool = False) -> dict:
     profile = get_profile(benchmark)
-    # Warm the trace tier once, untimed: the cached-generation arms all
-    # reuse this one trace (plan included), so whichever engine happens to
-    # run first is not charged the one-off generation cost.  The legacy
+    # Warm the trace tier once, untimed: the packed arm reuses this one
+    # trace, so it is not charged the one-off generation cost.  The legacy
     # arm still regenerates fresh inside its timed region — paying
     # per-cell generation is part of the pre-overhaul shape it models.
     generate_workload(profile, instructions, seed=seed)
@@ -145,28 +114,16 @@ def run_benchmark(benchmark: str, instructions: int, seed: int,
     # throughput is reported over the full executed stream.
     executed = instructions * max(1, profile.num_threads)
     schemes = {}
-    total_vectorized = 0.0
     total_packed = 0.0
     total_legacy = 0.0
     for mode in SCHEMES:
-        vec_wall, vec_result = _run_vectorized(profile, mode, instructions,
-                                               seed)
         packed_wall, packed_result = _run_packed(profile, mode, instructions,
                                                  seed)
-        if (vec_result.cycles, vec_result.instructions) != (
-                packed_result.cycles, packed_result.instructions):
-            raise AssertionError(
-                f"engine divergence under {mode}: "
-                f"vectorized {vec_result.cycles} cycles vs "
-                f"packed {packed_result.cycles}")
         entry = {
             "wall_seconds": round(packed_wall, 4),
             "ops_per_sec": round(executed / packed_wall, 1),
-            "vectorized_wall_seconds": round(vec_wall, 4),
-            "vectorized_ops_per_sec": round(executed / vec_wall, 1),
             "cycles": packed_result.cycles,
         }
-        total_vectorized += vec_wall
         total_packed += packed_wall
         if not skip_legacy:
             legacy_wall, legacy_result = _run_legacy(profile, mode,
@@ -180,130 +137,58 @@ def run_benchmark(benchmark: str, instructions: int, seed: int,
             entry["legacy_wall_seconds"] = round(legacy_wall, 4)
             entry["legacy_ops_per_sec"] = round(executed / legacy_wall, 1)
             entry["speedup"] = round(legacy_wall / packed_wall, 3)
-            entry["vectorized_speedup"] = round(legacy_wall / vec_wall, 3)
             total_legacy += legacy_wall
         schemes[mode] = entry
-        line = (f"  {mode:20s} vec {entry['vectorized_ops_per_sec']:>9.0f}"
-                f" ops/s  packed {entry['ops_per_sec']:>9.0f} ops/s")
+        line = f"  {mode:20s} packed {entry['ops_per_sec']:>9.0f} ops/s"
         if not skip_legacy:
             line += (f"   legacy {entry['legacy_ops_per_sec']:>9.0f} ops/s"
-                     f"  speedup {entry['vectorized_speedup']:.2f}x/"
-                     f"{entry['speedup']:.2f}x")
+                     f"  speedup {entry['speedup']:.2f}x")
         print(line)
     payload = {
         "benchmark": benchmark,
         "instructions": instructions,
         "seed": seed,
         "schemes": schemes,
-        "total_vectorized_seconds": round(total_vectorized, 3),
         "total_packed_seconds": round(total_packed, 3),
     }
     if not skip_legacy:
         payload["total_legacy_seconds"] = round(total_legacy, 3)
         payload["end_to_end_speedup"] = round(total_legacy / total_packed, 3)
-        payload["vectorized_end_to_end_speedup"] = round(
-            total_legacy / total_vectorized, 3)
-        print(f"  {'end-to-end':20s} vectorized {total_vectorized:.2f}s, "
-              f"packed {total_packed:.2f}s vs legacy {total_legacy:.2f}s "
-              f"-> {payload['vectorized_end_to_end_speedup']:.2f}x/"
+        print(f"  {'end-to-end':20s} packed {total_packed:.2f}s vs legacy "
+              f"{total_legacy:.2f}s -> "
               f"{payload['end_to_end_speedup']:.2f}x")
-    return payload
-
-
-def run_campaign_benchmark(seed: int) -> dict:
-    """Time a parallel campaign with trace sharing on, then off.
-
-    The per-cell loops above cannot see the harness path this PR touched:
-    pre-fork trace materialisation and worker attach through the
-    fork-inherited shared registry.  This runs the same small matrix (two
-    series × four benchmarks) through the pool executor twice and reports
-    both walls plus the registry statistics.  Informational only — pool
-    scheduling at two jobs is too noisy for a ratio gate.
-    """
-    from repro.harness.campaign import Campaign
-    from repro.workloads.cache import SHARED_TRACES_ENV, reset_trace_cache
-
-    def one_run(shared: bool) -> tuple:
-        # A cold trace tier each time, so both runs pay trace generation
-        # the same way and differ only in *where* workers obtain traces.
-        reset_trace_cache()
-        saved = os.environ.get(SHARED_TRACES_ENV)
-        os.environ[SHARED_TRACES_ENV] = "on" if shared else "off"
-        try:
-            campaign = Campaign(
-                CAMPAIGN_BENCHMARKS,
-                configs={"muontrap": SystemConfig(mode="muontrap")},
-                baseline_config=SystemConfig(mode="unprotected"),
-                instructions=CAMPAIGN_INSTRUCTIONS, seed=seed,
-                jobs=CAMPAIGN_JOBS)
-            started = time.perf_counter()
-            result = campaign.run()
-            return time.perf_counter() - started, result
-        finally:
-            if saved is None:
-                del os.environ[SHARED_TRACES_ENV]
-            else:
-                os.environ[SHARED_TRACES_ENV] = saved
-
-    shared_wall, shared_result = one_run(shared=True)
-    unshared_wall, unshared_result = one_run(shared=False)
-    if shared_result.geomeans() != unshared_result.geomeans():
-        raise AssertionError("shared-trace campaign diverged from the "
-                             "unshared reference")
-    cells = shared_result.stats.executed
-    payload = {
-        "benchmarks": CAMPAIGN_BENCHMARKS,
-        "instructions": CAMPAIGN_INSTRUCTIONS,
-        "jobs": CAMPAIGN_JOBS,
-        "cells": cells,
-        "shared_traces": shared_result.stats.shared_traces,
-        "wall_seconds": round(shared_wall, 4),
-        "cells_per_sec": round(cells / shared_wall, 2),
-        "unshared_wall_seconds": round(unshared_wall, 4),
-    }
-    print(f"  {'campaign':20s} {cells} cells, {CAMPAIGN_JOBS} jobs: "
-          f"{shared_wall:.2f}s with {payload['shared_traces']} shared "
-          f"trace(s) vs {unshared_wall:.2f}s unshared")
     return payload
 
 
 def check_against_baseline(payload: dict, baseline_path: Path) -> int:
     baseline = json.loads(baseline_path.read_text())
     failures = []
-    #: Each fast engine gates its own speedup-over-legacy ratio.
-    gates = [("end_to_end_speedup", "packed"),
-             ("vectorized_end_to_end_speedup", "vectorized")]
-    for key, engine in gates:
-        measured = payload.get(key)
-        expected = baseline.get(key)
-        if measured is None:
-            failures.append("--check requires the legacy comparison "
-                            "(do not combine with --no-legacy)")
-            break
-        if expected is None:
-            continue
+    measured = payload.get("end_to_end_speedup")
+    expected = baseline.get("end_to_end_speedup")
+    if measured is None:
+        failures.append("--check requires the legacy comparison "
+                        "(do not combine with --no-legacy)")
+    elif expected is not None:
         floor = expected * (1.0 - REGRESSION_TOLERANCE)
-        print(f"check: {engine} end-to-end speedup {measured:.2f}x "
+        print(f"check: packed end-to-end speedup {measured:.2f}x "
               f"(baseline {expected:.2f}x, floor {floor:.2f}x)")
         if measured < floor:
             failures.append(
-                f"{engine} end-to-end speedup regressed: {measured:.2f}x < "
+                f"packed end-to-end speedup regressed: {measured:.2f}x < "
                 f"floor {floor:.2f}x (baseline {expected:.2f}x)")
     # Per-scheme ratios are noisier than the aggregate (short runs, shared
     # CI hosts), so scheme-level drops warn rather than fail; the gate is
-    # the end-to-end speedups above.
+    # the end-to-end speedup above.
     for mode, entry in baseline.get("schemes", {}).items():
-        for key in ("speedup", "vectorized_speedup"):
-            baseline_speedup = entry.get(key)
-            current = payload["schemes"].get(mode, {}).get(key)
-            if baseline_speedup is None or current is None:
-                continue
-            floor = baseline_speedup * (1.0 - REGRESSION_TOLERANCE)
-            if current < floor:
-                print(f"warning: {mode}: {key} {current:.2f}x below "
-                      f"floor {floor:.2f}x "
-                      f"(baseline {baseline_speedup:.2f}x)",
-                      file=sys.stderr)
+        baseline_speedup = entry.get("speedup")
+        current = payload["schemes"].get(mode, {}).get("speedup")
+        if baseline_speedup is None or current is None:
+            continue
+        floor = baseline_speedup * (1.0 - REGRESSION_TOLERANCE)
+        if current < floor:
+            print(f"warning: {mode}: speedup {current:.2f}x below "
+                  f"floor {floor:.2f}x (baseline {baseline_speedup:.2f}x)",
+                  file=sys.stderr)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
@@ -332,11 +217,8 @@ def measure_disabled_call_counts(benchmark: str, seed: int) -> dict:
             max(1, profile.num_threads))
         workload = generate_workload(profile, TELEMETRY_INSTRUCTIONS,
                                      seed=seed)
-        # Pinned to the scalar packed engine: its call counts are
-        # host-independent, while the vectorized engine's depend on
-        # whether numpy is installed (the plan degrades gracefully).
         simulator = Simulator(build_system(config, seed=seed),
-                              use_packed=True, use_vectorized=False)
+                              use_packed=True)
         profiler = cProfile.Profile()
         profiler.enable()
         simulator.run(workload, warmup_fraction=0.35)
@@ -387,8 +269,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--no-legacy", action="store_true",
                         help="skip the legacy-engine comparison runs")
-    parser.add_argument("--no-campaign", action="store_true",
-                        help="skip the campaign-level harness benchmark")
     # argparse expands help strings with %-formatting, so literal percent
     # signs must be doubled.
     parser.add_argument("--check", action="store_true",
@@ -415,8 +295,6 @@ def main(argv=None) -> int:
           f"{args.instructions} instructions, seed {args.seed}")
     payload = run_benchmark(args.benchmark, args.instructions, args.seed,
                             skip_legacy=args.no_legacy)
-    if not args.no_campaign:
-        payload["campaign"] = run_campaign_benchmark(args.seed)
     payload["telemetry_disabled"] = active_tracer() is None
     if args.check_telemetry:
         payload["telemetry_call_counts"] = measure_disabled_call_counts(

@@ -54,7 +54,7 @@ def main() -> int:
     health = client.health()
     print(f"health:   repro {health['version']}, "
           f"{health['schemes']} schemes, {health['suites']} suites, "
-          f"numpy={'yes' if health['numpy'] else 'no'}")
+          f"stores={'/'.join(health['store_backends'])}")
     print(f"machines: {', '.join(m['name'] for m in client.machines())}")
 
     # -- one cell, synchronously ---------------------------------------------

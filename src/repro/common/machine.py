@@ -57,6 +57,11 @@ _T = TypeVar("_T")
 #: carry a ``schema_version`` key when serialised).
 _PUBLIC_CLASSES = (SystemConfig, CoreConfig, ProtectionConfig)
 
+#: A SystemConfig key older files carry, accepted and ignored on load.  It
+#: pinned an execution engine that no longer exists; the engines were
+#: bit-identical, so dropping it changes no result.
+_RETIRED_SYSTEM_KEY = "use_vectorized"
+
 
 class MachineFormatError(ValueError):
     """A machine description that cannot be interpreted."""
@@ -124,6 +129,9 @@ def _decode_dataclass(cls: Type[_T], payload: Any, context: str) -> _T:
             raise MachineFormatError(
                 f"{context}: unsupported {_VERSION_KEY} {version!r} "
                 f"(this version reads {MACHINE_SCHEMA_VERSION})")
+    if cls is SystemConfig:
+        payload = {name: value for name, value in payload.items()
+                   if name != _RETIRED_SYSTEM_KEY}
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(payload) - known)
     if unknown:

@@ -57,11 +57,6 @@ from repro.sim.simulator import SimulationResult, Simulator
 from repro.sim.system import build_system
 from repro.telemetry.log import get_logger, log_event
 from repro.telemetry.phases import phase
-from repro.workloads.cache import (
-    clear_shared_traces,
-    materialize_shared_traces,
-    shared_traces_enabled,
-)
 from repro.workloads.generator import generate_workload
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
@@ -110,10 +105,7 @@ def run_cell(spec: RunSpec) -> SimulationResult:
     (:mod:`repro.workloads.cache`), so a worker sweeping one benchmark
     across several configurations generates its trace once; pointing
     ``REPRO_TRACE_CACHE`` at a directory extends the sharing across
-    workers and campaign invocations.  In a parallel campaign the lookup
-    is normally satisfied one tier earlier still: the fork-inherited
-    shared registry the parent filled before the pool forked, making
-    trace generation (and the packing below) a pure attach.
+    workers and campaign invocations.
     """
     with phase("trace-gen"):
         workload = generate_workload(spec.profile, spec.instructions,
@@ -149,10 +141,6 @@ class ExecutionStats:
     executed_seconds: float = 0.0
     wall_seconds: float = 0.0
     workers: int = 1
-    #: Workloads pre-materialised into the fork-inherited shared trace
-    #: registry before the worker pool forked (0 = serial run, sharing
-    #: disabled, or every cell cached).
-    shared_traces: int = 0
     #: Supervision accounting (see :mod:`repro.harness.executor`):
     #: re-dispatches of failed cells, per-cell timeouts fired, worker
     #: processes that died and were replaced, and cells quarantined after
@@ -185,8 +173,6 @@ class ExecutionStats:
         text = (f"{self.executed} executed, {self.store_hits} store hits, "
                 f"{self.memory_hits} memory hits "
                 f"({self.cached_fraction:.0%} cached)")
-        if self.shared_traces:
-            text += f"; {self.shared_traces} trace(s) shared with workers"
         if self.executed and self.wall_seconds > 0:
             text += (f"; {self.executed_seconds:.2f}s simulated work in "
                      f"{self.wall_seconds:.2f}s wall on {self.workers} "
@@ -274,15 +260,6 @@ def execute_cells(specs: Sequence[RunSpec], *,
                         if workers > 1
                         else SerialExecutor(max_retries=max_retries,
                                             cell_timeout=cell_timeout))
-        if isinstance(executor, PoolExecutor) and shared_traces_enabled():
-            # Materialise every distinct workload *before* the pool forks:
-            # workers inherit the finished traces (packed columns and
-            # execution plans included) as read-only copy-on-write pages
-            # and attach by key instead of regenerating per process.
-            with phase("trace-materialize"):
-                stats.shared_traces += materialize_shared_traces(
-                    (spec.profile, spec.instructions, spec.seed)
-                    for _, spec in pending)
         log_event(logger, "execute_start", cells=len(pending),
                   cached=progress_state["done"], workers=workers,
                   executor=type(executor).__name__)
@@ -327,13 +304,6 @@ def execute_cells(specs: Sequence[RunSpec], *,
             log_event(logger, "execute_interrupted",
                       completed=progress_state["done"], total=total)
             raise
-        finally:
-            # The pool is gone by now (``executor.execute`` shuts its
-            # workers down on every exit path, interrupts and quarantines
-            # included), so drop the parent's shared-trace references:
-            # holding them across campaigns would accumulate every trace
-            # ever materialised in a long-lived process.
-            clear_shared_traces()
 
     if cache is not None:
         cache.update(results)

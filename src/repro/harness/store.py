@@ -90,15 +90,8 @@ def _jsonable(value: Any) -> Any:
 
 
 def config_fingerprint(config: SystemConfig) -> Dict[str, Any]:
-    """A canonical, JSON-serialisable view of a system configuration.
-
-    Engine selection (``use_vectorized``) is excluded: the engines are
-    golden-tested bit-identical, so the choice cannot change the outcome
-    and including it would needlessly split stored results per engine.
-    """
-    fingerprint = _jsonable(config)
-    fingerprint.pop("use_vectorized", None)
-    return fingerprint
+    """A canonical, JSON-serialisable view of a system configuration."""
+    return _jsonable(config)
 
 
 def stable_key(profile: WorkloadProfile, config: SystemConfig,

@@ -25,7 +25,6 @@ from typing import Any, Dict, List
 from repro import __version__
 from repro.harness.executor import FailedCell
 from repro.harness.store import STORE_BACKENDS, result_to_dict
-from repro.workloads.trace import numpy_available
 
 
 def canonical_json(payload: Any) -> bytes:
@@ -41,8 +40,6 @@ def version_payload() -> Dict[str, Any]:
     return {
         "package": "repro",
         "version": __version__,
-        "default_engine": "vectorized",
-        "numpy": numpy_available(),
         "store_backends": list(STORE_BACKENDS),
         "schemes": len(scheme_names()),
         "suites": len(suite_names()),

@@ -345,10 +345,7 @@ def generate_workload(profile, instructions: int,
     :mod:`repro.workloads.cache` (in-memory LRU, plus an on-disk tier when
     ``REPRO_TRACE_CACHE`` names a directory).  A campaign sweeping one
     benchmark across several protection schemes therefore generates the
-    trace once.  Campaign workers additionally consult the fork-inherited
-    shared registry first — workloads the campaign parent materialised
-    before forking are attached by reference, not regenerated or
-    re-unpickled.  Cached workloads are shared objects: treat them as
+    trace once.  Cached workloads are shared objects: treat them as
     immutable, as all harness code does.
     """
     from repro.workloads.mixes import MixProfile, generate_mix
@@ -360,11 +357,7 @@ def generate_workload(profile, instructions: int,
         # ops), for no generation saved.
         return generate_mix(profile, instructions, seed=seed)
 
-    from repro.workloads.cache import (active_trace_cache,
-                                       shared_trace_lookup, trace_key)
-    shared = shared_trace_lookup(profile, instructions, seed, process_id)
-    if shared is not None:
-        return shared
+    from repro.workloads.cache import active_trace_cache, trace_key
     cache = active_trace_cache()
     if cache is None:
         return TraceGenerator(profile, seed=seed).generate(

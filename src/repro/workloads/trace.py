@@ -19,48 +19,18 @@ Traces exist in two representations:
 
 ``PackedTrace.pack`` / ``PackedTrace.unpack`` are lossless converters
 between the two.
-
-The vectorized engine (``OutOfOrderCore.run_vectorized``) additionally
-consumes a :class:`TracePlan` — a one-time preprocessing pass over the
-packed columns that segments the trace into maximal runs of "simple" ops
-(no loads, stores, branches, syscalls, context switches or sandbox
-entries — nothing that touches the memory hierarchy or the predictor)
-sharing one instruction-cache line, and precomputes per-run register
-read/write summaries so long runs replay as numpy array recurrences.
-Plans are derived data: they are cached per ``(trace, line size)`` on the
-:class:`PackedTrace` and deliberately excluded from pickles (the on-disk
-trace cache stores only the columns; plans rebuild on first use).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-try:  # numpy accelerates planning and long-run replay; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the optional numpy acceleration tier is importable.
-
-    Surfaced by ``python -m repro version`` and the service's
-    ``GET /v1/health`` endpoint; results never depend on it (the pure
-    fallbacks are golden-tested bit-identical), only wall-clock does.
-    """
-    return _np is not None
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cpu.instructions import (
-    F_BRANCH,
     F_CONTEXT_SWITCH,
     F_FORCE_MISPREDICT,
     F_FORCE_MISPREDICT_VALUE,
-    F_LOAD,
     F_SANDBOX_ENTRY,
-    F_STORE,
-    F_SYSCALL,
     F_TAKEN,
     KIND_FLAGS,
     MicroOp,
@@ -76,165 +46,6 @@ _CODE_OF_KIND: Dict[OpKind, int] = {kind: code
 #: Sentinel for "no address / no target / no destination register".
 _NONE = -1
 
-#: Any of these flags makes an op "complex": it interacts with the memory
-#: hierarchy, the branch predictor or the OS model, so the vectorized
-#: engine must execute it on the scalar per-op path.  Everything else
-#: (plain ALU work) is "simple" and batchable.
-COMPLEX_MASK = (F_LOAD | F_STORE | F_BRANCH | F_SYSCALL
-                | F_CONTEXT_SWITCH | F_SANDBOX_ENTRY)
-
-#: The instruction-cache line size plans are pre-built for when no core
-#: configuration is at hand (matches ``CacheConfig.line_size``'s default).
-#: Plans are keyed by line size and built lazily, so a machine with a
-#: different line size simply builds its own plan on first use.
-DEFAULT_LINE_SIZE = 64
-
-#: Minimum simple-run length for which a :class:`RunPlan` (the numpy
-#: replay summary) is precomputed; shorter runs replay on the batched
-#: scalar fast path, where numpy call overhead would dominate.  The
-#: break-even point for the array recurrences (arange / scatter-max /
-#: lag-width maximum) sits around a few dozen ops per run.
-VECTOR_MIN_RUN = 32
-
-
-class RunPlan:
-    """Register read/write summary of one simple run, for numpy replay.
-
-    Positions are 0-based offsets within the run.  Source registers are
-    split into *external* reads (produced before the run; their ready
-    times are gathered from the register file at replay time) and in-run
-    *dependency* edges (producer position -> consumer position; resolved
-    against the run's own completion-time array).
-    """
-
-    __slots__ = ("start", "stop", "lat", "ext_regs", "ext_positions",
-                 "dep_ops", "final_writes", "max_dst")
-
-    def __init__(self, start: int, stop: int, lat, ext_regs: List[int],
-                 ext_positions, dep_ops: List[Tuple[int, Tuple[int, ...]]],
-                 final_writes: List[Tuple[int, int]], max_dst: int) -> None:
-        self.start = start
-        self.stop = stop
-        #: Per-position execution latencies (numpy int64).
-        self.lat = lat
-        #: Flat external source registers, parallel to ``ext_positions``.
-        self.ext_regs = ext_regs
-        #: Consumer position of each external read (numpy int64).
-        self.ext_positions = ext_positions
-        #: ``(position, producer positions)`` for ops reading in-run
-        #: results, ascending; empty for generator-shaped traces.
-        self.dep_ops = dep_ops
-        #: ``(register, position)`` of the last in-run write per register.
-        self.final_writes = final_writes
-        #: Highest destination register (for register-file growth).
-        self.max_dst = max_dst
-
-
-class TracePlan:
-    """Segmentation of a packed trace for the vectorized engine.
-
-    ``run_end[i]`` is the exclusive end of the maximal batchable run
-    starting at op ``i``: every op in ``[i, run_end[i])`` is simple and
-    shares op ``i``'s instruction-cache line (so only the first op of a
-    batch can miss in the line buffer).  For complex ops ``run_end[i]``
-    equals ``i``.  ``vector_runs`` maps the start index of every full run
-    of at least :data:`VECTOR_MIN_RUN` ops to its :class:`RunPlan`.
-    """
-
-    __slots__ = ("line_size", "run_end", "vector_runs")
-
-    def __init__(self, line_size: int, run_end: List[int],
-                 vector_runs: Dict[int, RunPlan]) -> None:
-        self.line_size = line_size
-        self.run_end = run_end
-        self.vector_runs = vector_runs
-
-    @classmethod
-    def build(cls, packed: "PackedTrace", line_size: int) -> "TracePlan":
-        length = packed.length
-        if length == 0:
-            return cls(line_size, [], {})
-        if _np is not None:
-            flags = _np.asarray(packed.flags, dtype=_np.int64)
-            simple = (flags & COMPLEX_MASK) == 0
-            lines = _np.asarray(packed.pcs, dtype=_np.int64) // line_size
-            # A new batch starts wherever the chain of "simple op on the
-            # same line as its predecessor" breaks.
-            starts = _np.ones(length, dtype=bool)
-            starts[1:] = (~simple[1:] | ~simple[:-1]
-                          | (lines[1:] != lines[:-1]))
-            group = _np.cumsum(starts) - 1
-            ends = _np.cumsum(_np.bincount(group))
-            run_end_np = _np.where(simple, ends[group],
-                                   _np.arange(length, dtype=_np.int64))
-            run_end = run_end_np.tolist()
-        else:
-            col_flags = packed.flags
-            col_pcs = packed.pcs
-            run_end = [0] * length
-            i = length - 1
-            while i >= 0:
-                if col_flags[i] & COMPLEX_MASK:
-                    run_end[i] = i
-                    i -= 1
-                    continue
-                stop = i + 1
-                line = col_pcs[i] // line_size
-                if stop < length and run_end[stop] > stop \
-                        and col_pcs[stop] // line_size == line:
-                    stop = run_end[stop]
-                run_end[i] = stop
-                i -= 1
-        vector_runs: Dict[int, RunPlan] = {}
-        if _np is not None:
-            index = 0
-            while index < length:
-                stop = run_end[index]
-                if stop <= index:
-                    index += 1
-                    continue
-                if (stop - index >= VECTOR_MIN_RUN
-                        and (index == 0 or run_end[index - 1] != stop)):
-                    vector_runs[index] = cls._summarise_run(packed, index,
-                                                            stop)
-                index = stop
-        return cls(line_size, run_end, vector_runs)
-
-    @staticmethod
-    def _summarise_run(packed: "PackedTrace", start: int,
-                       stop: int) -> RunPlan:
-        col_srcs = packed.srcs
-        col_dsts = packed.dsts
-        producers: Dict[int, int] = {}
-        ext_regs: List[int] = []
-        ext_pos: List[int] = []
-        dep_ops: List[Tuple[int, Tuple[int, ...]]] = []
-        max_dst = -1
-        for position, index in enumerate(range(start, stop)):
-            srcs = col_srcs[index]
-            if srcs:
-                deps = []
-                for reg in srcs:
-                    producer = producers.get(reg)
-                    if producer is None:
-                        ext_regs.append(reg)
-                        ext_pos.append(position)
-                    else:
-                        deps.append(producer)
-                if deps:
-                    dep_ops.append((position, tuple(deps)))
-            dst = col_dsts[index]
-            if dst >= 0:
-                producers[dst] = position
-                if dst > max_dst:
-                    max_dst = dst
-        final_writes = [(reg, position)
-                        for reg, position in producers.items()]
-        lat = _np.asarray(packed.latencies[start:stop], dtype=_np.int64)
-        ext_positions = _np.asarray(ext_pos, dtype=_np.int64)
-        return RunPlan(start, stop, lat, ext_regs, ext_positions, dep_ops,
-                       final_writes, max_dst)
-
 
 class PackedTrace:
     """A struct-of-arrays instruction stream.
@@ -248,8 +59,7 @@ class PackedTrace:
     """
 
     __slots__ = ("length", "kinds", "flags", "pcs", "addresses", "latencies",
-                 "srcs", "dsts", "targets", "wrong_paths", "sequences",
-                 "_plans")
+                 "srcs", "dsts", "targets", "wrong_paths", "sequences")
 
     def __init__(self, length: int, kinds: List[int], flags: List[int],
                  pcs: List[int], addresses: List[int], latencies: List[int],
@@ -266,39 +76,9 @@ class PackedTrace:
         self.targets = targets
         self.wrong_paths = wrong_paths
         self.sequences = sequences
-        #: line_size -> cached TracePlan (derived data; never pickled).
-        self._plans: Optional[Dict[int, "TracePlan"]] = None
 
     def __len__(self) -> int:
         return self.length
-
-    def plan(self, line_size: int) -> "TracePlan":
-        """The (cached) vectorized-engine segmentation for ``line_size``.
-
-        Plans are immutable derived data, so building one in the campaign
-        supervisor before workers fork shares it read-only with every
-        worker for free.
-        """
-        plans = self._plans
-        if plans is None:
-            plans = self._plans = {}
-        plan = plans.get(line_size)
-        if plan is None:
-            plan = plans[line_size] = TracePlan.build(self, line_size)
-        return plan
-
-    # Plans are excluded from pickles: the on-disk trace cache and any
-    # cross-process transfer carry only the columns, and the plan rebuilds
-    # (deterministically) on first use.  This also keeps pickles written
-    # by this version loadable by older readers and vice versa.
-    def __getstate__(self) -> Dict[str, object]:
-        return {name: getattr(self, name) for name in self.__slots__
-                if name != "_plans"}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._plans = None
-        for name, value in state.items():
-            setattr(self, name, value)
 
     @classmethod
     def pack(cls, ops: Sequence[MicroOp]) -> "PackedTrace":

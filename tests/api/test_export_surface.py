@@ -83,3 +83,18 @@ class TestPackageSurface:
     def test_unknown_package_attribute(self):
         with pytest.raises(AttributeError):
             repro.no_such_attribute
+
+    def test_importing_the_package_does_not_import_numpy(self):
+        # No module of the package needs numpy; importing it anyway would
+        # cost every CLI call and every service start-up its import time.
+        import os
+        import subprocess
+        import sys
+        script = ("import sys, repro, repro.api, repro.__main__, "
+                  "repro.harness.campaign, repro.service.server; "
+                  "print('numpy' in sys.modules)")
+        src = Path(repro.__file__).resolve().parents[1]
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+        assert completed.stdout.strip() == "False"

@@ -204,10 +204,42 @@ class TestErrors:
             == MACHINE_SCHEMA_VERSION
 
 
+class TestRetiredKeys:
+    """Machine files written before the engine choice left the config
+    carry ``use_vectorized``; they must keep loading, unchanged."""
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("preset", ["biglittle-muontrap", None])
+    def test_use_vectorized_is_accepted_and_ignored(self, value, preset):
+        config = get_machine(preset) if preset else SystemConfig()
+        payload = machine_to_dict(config)
+        assert "use_vectorized" not in payload
+        older = json.loads(json.dumps({**payload, "use_vectorized": value}))
+        assert machine_from_dict(older) == machine_from_dict(payload) \
+            == config
+
+    def test_other_unknown_keys_still_raise(self):
+        with pytest.raises(MachineFormatError, match="'use_packed'"):
+            machine_from_dict({"use_vectorized": True, "use_packed": True})
+
+    def test_retired_key_is_only_retired_on_the_system_config(self):
+        with pytest.raises(MachineFormatError, match="'use_vectorized'"):
+            machine_from_dict({"num_cores": 1,
+                               "cores": [{"use_vectorized": True}]})
+
+
 class TestFiles:
     def test_save_and_load(self, tmp_path):
         config = get_machine("biglittle-asym")
         path = save_machine(config, tmp_path / "machine.json")
+        assert load_machine(path) == config
+
+    def test_older_file_with_the_retired_key_loads(self, tmp_path):
+        config = get_machine("biglittle-muontrap")
+        path = save_machine(config, tmp_path / "machine.json")
+        payload = json.loads(path.read_text())
+        payload["use_vectorized"] = True
+        path.write_text(json.dumps(payload, indent=2))
         assert load_machine(path) == config
 
     def test_load_errors_name_the_file(self, tmp_path):

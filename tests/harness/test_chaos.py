@@ -152,39 +152,38 @@ class TestQuarantine:
         assert healed.stats.store_hits == len(cells) - len(doomed)
 
 
-class TestSharedTracesUnderChaos:
-    """Worker kills must not corrupt or leak the shared trace registry.
+class TestTraceCacheUnderChaos:
+    """Worker kills must not tear the on-disk trace tier.
 
-    Parallel campaigns pre-materialise traces into the fork-inherited
-    shared registry; every worker — including the replacements spawned
-    after a kill — attaches to the same read-only pages.  Chaos must not
-    change that story: results stay byte-identical, and the parent always
-    empties the registry once the pool is gone (the fork model has no
-    OS-level segments to unlink, so a leak here would be parent memory
-    pinned across campaigns).
+    Workers write trace pickles through a temporary file and an atomic
+    rename, so a worker killed at any point leaves either a whole entry
+    or none; replacement workers then load or regenerate the same trace.
     """
 
-    def test_killed_workers_leave_shared_traces_intact(self, monkeypatch):
-        from repro.workloads.cache import shared_trace_count
+    def test_killed_workers_leave_the_disk_tier_intact(self, monkeypatch,
+                                                       tmp_path):
+        from repro.workloads.cache import (
+            TRACE_CACHE_ENV,
+            TraceCache,
+            reset_trace_cache,
+        )
         clean = make_campaign(jobs=2).run()
-        assert clean.stats.shared_traces == 2
-        assert shared_trace_count() == 0
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
         monkeypatch.setenv(FAULTS_ENV, "kill:1.0:5")
-        chaotic = make_campaign(jobs=2).run()
+        reset_trace_cache()
+        try:
+            chaotic = make_campaign(jobs=2).run()
+        finally:
+            reset_trace_cache()
         assert chaotic.stats.worker_restarts > 0
-        assert chaotic.stats.shared_traces == 2
         assert not chaotic.failures
         assert_identical_runs(clean, chaotic)
-        # Cleanup on the chaotic path too: no entries survive the run.
-        assert shared_trace_count() == 0
-
-    def test_quarantine_still_clears_the_registry(self, monkeypatch):
-        from repro.workloads.cache import shared_trace_count
-        monkeypatch.setenv(FAULTS_ENV, "exc:1.0:3:99")
-        result = make_campaign(jobs=2, max_retries=0,
-                               benchmarks=("hmmer",)).run()
-        assert result.failures          # every cell quarantined ...
-        assert shared_trace_count() == 0  # ... and nothing leaked
+        entries = sorted(path.stem for path in tmp_path.glob("*.pkl"))
+        assert len(entries) == 2            # one workload per benchmark
+        reader = TraceCache(root=tmp_path)
+        for key in entries:
+            assert reader.get(key) is not None, key
+        assert reader.misses == 0
 
 
 class TestResume:

@@ -195,17 +195,10 @@ class TestCli:
         assert "spec_int (11)" in out
         assert "parsec (7)" in out
 
-    def test_engine_flag_changes_nothing_but_reuses_the_store(self, capsys):
-        # The engines are golden-tested bit-identical and the store key
-        # excludes the engine choice, so a --engine packed re-run of a
-        # vectorized campaign is served entirely from the store — the
-        # strongest CLI-level statement of both properties at once.
-        assert self.run_cli("run", "--suite", "hmmer",
-                            "--mode", "muontrap") == 0
-        first = capsys.readouterr().out
-        assert "2 executed, 0 store hits" in first
-        assert self.run_cli("run", "--suite", "hmmer", "--mode", "muontrap",
-                            "--engine", "packed") == 0
-        second = capsys.readouterr().out
-        assert "0 executed, 2 store hits" in second
-        assert first.splitlines()[-2:] == second.splitlines()[-2:]
+    def test_engine_flag_is_rejected(self, capsys):
+        # One engine is left, so there is no engine to choose.
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli("run", "--suite", "hmmer", "--mode", "muontrap",
+                         "--engine", "packed")
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err

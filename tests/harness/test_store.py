@@ -3,8 +3,12 @@
 import dataclasses
 import json
 
+import pytest
+
+from repro.api import resolve_machine
 from repro.common.params import ProtectionMode, SystemConfig
 from repro.cpu.core import CoreResult
+from repro.harness.campaign import RunSpec
 from repro.harness.store import (
     STORE_FSYNC_ENV,
     ResultStore,
@@ -54,6 +58,41 @@ class TestStableKey:
         config = SystemConfig(mode=ProtectionMode.MUONTRAP)
         assert (stable_key(profile, config, 2000, 1234)
                 != stable_key(tweaked, config, 2000, 1234))
+
+
+class TestPinnedKeys:
+    """Store keys of the benchmark's two inline cells, pinned so that a
+    config change that silently re-keys existing stores fails here."""
+
+    @pytest.mark.parametrize("bench, scheme, instructions, key", [
+        ("mcf", "muontrap", 20_000, "4270e67085f2ee9522f01ffc"),
+        ("povray", "unprotected", 80_000, "65e8842046261a75cc70200f"),
+    ])
+    def test_cell_keys_are_stable(self, bench, scheme, instructions, key):
+        machine = resolve_machine(scheme)
+        spec = RunSpec(profile=get_profile(bench),
+                       label=machine.mode_label, config=machine,
+                       instructions=instructions, seed=1234,
+                       warmup_fraction=0.35, collect_stats=True)
+        assert spec.key() == key
+
+    @pytest.mark.parametrize("backend", ["json", "sqlite"])
+    def test_stored_cells_keep_serving(self, backend, tmp_path):
+        """An entry stored under a pinned key is served, not recomputed."""
+        from repro.harness.campaign import ExecutionStats, execute_cells
+        from repro.harness.store import open_store
+        machine = resolve_machine("muontrap")
+        spec = RunSpec(profile=get_profile("mcf"),
+                       label=machine.mode_label, config=machine,
+                       instructions=20_000, seed=1234,
+                       warmup_fraction=0.35, collect_stats=True)
+        assert spec.key() == "4270e67085f2ee9522f01ffc"
+        store = open_store(tmp_path / "results", backend=backend)
+        store.put(spec.key(), make_result())
+        stats = ExecutionStats()
+        results = execute_cells([spec], jobs=1, store=store, stats=stats)
+        assert results[spec.key()] == make_result()
+        assert (stats.executed, stats.store_hits) == (0, 1)
 
 
 class TestRoundTrip:

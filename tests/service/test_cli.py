@@ -28,7 +28,7 @@ class TestVersion:
         assert main(["version"]) == 0
         out = capsys.readouterr().out
         assert "repro 1." in out
-        assert "default engine" in out
+        assert "store backends:  json, sqlite" in out
 
     def test_json_output_is_the_health_payload(self, capsys):
         assert main(["version", "--json"]) == 0

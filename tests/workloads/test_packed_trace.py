@@ -1,9 +1,13 @@
 """Tests for the packed (struct-of-arrays) trace representation."""
 
+import pickle
 import random
 
 import pytest
 
+from repro.baselines.unprotected import UnprotectedMemorySystem
+from repro.common.params import default_system_config
+from repro.cpu.core import OutOfOrderCore
 from repro.cpu.instructions import (
     F_BRANCH,
     F_LOAD,
@@ -57,6 +61,17 @@ class TestPackUnpackRoundTrip:
     def test_generated_trace_round_trips(self):
         trace = TraceGenerator(get_profile("mcf"), seed=3).generate_single(400)
         assert trace.packed().unpack() == trace.ops
+
+
+    def test_pickle_round_trip(self):
+        """The on-disk trace cache stores packed traces as plain pickles."""
+        packed = PackedTrace.pack(_varied_ops())
+        clone = pickle.loads(pickle.dumps(packed,
+                                          protocol=pickle.HIGHEST_PROTOCOL))
+        assert clone is not packed
+        for name in PackedTrace.__slots__:
+            assert getattr(clone, name) == getattr(packed, name), name
+        assert clone.unpack() == packed.unpack()
 
 
 class TestPackedFlags:
@@ -189,3 +204,44 @@ class TestTracePackedCache:
         for trace in workload:
             assert trace._packed is not None
             assert trace._packed.length == len(trace.ops)
+
+
+def _dependency_chain(count, pc=0x40_000):
+    """``count`` ALU ops on one line, chained through r1."""
+    ops = [MicroOp(kind=OpKind.INT_ALU, pc=pc, dst_reg=1)]
+    ops += [MicroOp(kind=OpKind.INT_ALU, pc=pc, src_regs=(1,), dst_reg=1,
+                    execution_latency=2)
+            for _ in range(count - 1)]
+    return ops
+
+
+class TestEmptyAndSingleOpExecution:
+    """Engine-level pinning: degenerate traces return the entry clock."""
+
+    def _core(self):
+        config = default_system_config()
+        return OutOfOrderCore(0, config, UnprotectedMemorySystem(config))
+
+    def test_empty_trace_is_a_no_op_on_every_engine(self):
+        for engine in ("packed", "per-op"):
+            core = self._core()
+            # Establish a non-trivial clock first, then run nothing.
+            core.run_packed(PackedTrace.pack(_dependency_chain(4)))
+            before = core.result()
+            if engine == "packed":
+                assert core.run_packed(PackedTrace.pack([])) \
+                    == core._last_commit_time
+            else:
+                core.run([])
+            assert core.result() == before, engine
+
+    def test_single_op_trace_identical_across_engines(self):
+        op = MicroOp(kind=OpKind.INT_ALU, pc=0x1000, src_regs=(1,),
+                     dst_reg=2, execution_latency=3)
+        packed = self._core()
+        clock = packed.run_packed(PackedTrace.pack([op]))
+        per_op = self._core()
+        per_op.execute_op(op)
+        assert (clock, packed.result()) \
+            == (per_op._last_commit_time, per_op.result())
+        assert packed.result().committed_instructions == 1

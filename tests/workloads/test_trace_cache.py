@@ -127,3 +127,126 @@ class TestGenerateWorkloadCaching:
         monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
         generate_workload(get_profile("mcf"), 300, seed=4)
         assert list(tmp_path.glob("*.pkl"))
+
+
+class TestTierOrder:
+    """The LRU answers first, the disk tier second, generation last."""
+
+    def test_memory_tier_precedes_disk(self, tmp_path):
+        cache = TraceCache(root=tmp_path)
+        workload = TraceGenerator(get_profile("mcf"), seed=2).generate(100)
+        cache.put("k", workload)
+        (tmp_path / "k.pkl").unlink()
+        # Served from memory by reference, without touching the disk.
+        assert cache.get("k") is workload
+        assert cache.hits == 1 and cache.misses == 0
+
+    def test_disk_hit_is_promoted_to_memory(self, tmp_path):
+        TraceCache(root=tmp_path).put(
+            "k", TraceGenerator(get_profile("mcf"), seed=2).generate(100))
+        reader = TraceCache(root=tmp_path)
+        loaded = reader.get("k")
+        assert loaded is not None
+        (tmp_path / "k.pkl").unlink()
+        assert reader.get("k") is loaded
+        assert reader.hits == 2
+
+    def test_disk_tier_serves_without_regenerating(self, monkeypatch,
+                                                   tmp_path):
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
+        mcf = get_profile("mcf")
+        first = generate_workload(mcf, 300, seed=4)
+        # A fresh process: the LRU is gone, only the directory remains.
+        reset_trace_cache()
+
+        def poisoned(self, *args, **kwargs):
+            raise AssertionError("regenerated a trace the disk tier holds")
+        monkeypatch.setattr(TraceGenerator, "generate", poisoned)
+        second = generate_workload(mcf, 300, seed=4)
+        assert second is not first
+        assert [t.ops for t in second] == [t.ops for t in first]
+
+    def test_len_counts_each_key_once(self, tmp_path):
+        cache = TraceCache(root=tmp_path)
+        workload = TraceGenerator(get_profile("mcf"), seed=2).generate(50)
+        cache.put("a", workload)            # in memory and on disk
+        assert len(cache) == 1
+        TraceCache(root=tmp_path).put("b", workload)   # disk only
+        assert len(cache) == 2
+
+    def test_failed_disk_write_keeps_the_memory_tier(self, monkeypatch,
+                                                     tmp_path):
+        import repro.workloads.cache as cache_module
+
+        def full_disk(src, dst):
+            raise OSError("no space left on device")
+        monkeypatch.setattr(cache_module.os, "replace", full_disk)
+        cache = TraceCache(root=tmp_path)
+        workload = TraceGenerator(get_profile("mcf"), seed=2).generate(50)
+        cache.put("k", workload)
+        assert cache.get("k") is workload
+        # Neither the entry nor its temporary file is left behind.
+        assert not list(tmp_path.iterdir())
+
+
+class TestCacheVersion:
+    def test_key_covers_the_cache_version(self, monkeypatch):
+        import repro.workloads.cache as cache_module
+        mcf = get_profile("mcf")
+        current = trace_key(mcf, 1000, 1, 0)
+        monkeypatch.setattr(cache_module, "TRACE_CACHE_VERSION",
+                            cache_module.TRACE_CACHE_VERSION - 1)
+        assert trace_key(mcf, 1000, 1, 0) != current
+
+    def test_older_version_entry_misses_without_eviction(self, tmp_path,
+                                                         caplog):
+        import pickle
+
+        import repro.workloads.cache as cache_module
+        workload = TraceGenerator(get_profile("mcf"), seed=2).generate(50)
+        path = tmp_path / "k.pkl"
+        path.write_bytes(pickle.dumps(
+            {"version": cache_module.TRACE_CACHE_VERSION - 1, "key": "k",
+             "workload": workload}))
+        cache = TraceCache(root=tmp_path)
+        with caplog.at_level("WARNING", logger="repro"):
+            assert cache.get("k") is None
+        assert cache.misses == 1
+        # A stale entry is a clean miss: no warning, nothing deleted.
+        assert "trace_cache_evicted" not in caplog.text
+        assert path.exists()
+
+
+class TestCampaignTraces:
+    """Parallel campaigns: each worker generates (or loads) its own
+    traces; the parent generates none and holds none."""
+
+    def _campaign(self, jobs):
+        from repro.common.params import ProtectionMode, SystemConfig
+        from repro.harness.campaign import Campaign
+        from repro.sim.runner import unprotected_config
+        return Campaign(
+            ["hmmer", "povray"],
+            configs={"MuonTrap": SystemConfig(mode=ProtectionMode.MUONTRAP)},
+            baseline_config=unprotected_config(), instructions=600,
+            jobs=jobs)
+
+    def test_parallel_campaign_leaves_no_traces_in_the_parent(self):
+        result = self._campaign(jobs=2).run()
+        assert not result.failures
+        assert result.stats.workers == 2
+        assert len(active_trace_cache()) == 0
+
+    def test_summary_line_counts_cells_only(self):
+        result = self._campaign(jobs=2).run()
+        summary = result.stats.summary()
+        assert summary.startswith(
+            "4 executed, 0 store hits, 0 memory hits (0% cached)")
+        assert "trace" not in summary
+
+    def test_parallel_campaign_has_no_materialise_phase(self):
+        from repro.telemetry.phases import PHASES
+        PHASES.reset()
+        self._campaign(jobs=2).run()
+        assert "trace-gen" in PHASES.totals()
+        assert "trace-materialize" not in PHASES.totals()
