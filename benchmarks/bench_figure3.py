@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments.figures import figure3
 
 
-def test_figure3_spec2006(benchmark, runner):
-    result = run_once(benchmark, figure3, runner)
+def test_figure3_spec2006(benchmark, options):
+    result = run_once(benchmark, figure3, **options)
     print("\n" + result.to_markdown())
     # The paper's headline: MuonTrap costs a few percent on SPEC and is
     # cheaper than both InvisiSpec variants.

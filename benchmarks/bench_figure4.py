@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments.figures import figure4
 
 
-def test_figure4_parsec(benchmark, runner):
-    result = run_once(benchmark, figure4, runner)
+def test_figure4_parsec(benchmark, options):
+    result = run_once(benchmark, figure4, **options)
     print("\n" + result.to_markdown())
     # MuonTrap should be the cheapest protection scheme on Parsec.
     muontrap = result.geomeans["MuonTrap"]

@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments.figures import figure5
 
 
-def test_figure5_filter_cache_size_sweep(benchmark, runner):
-    result = run_once(benchmark, figure5, runner)
+def test_figure5_filter_cache_size_sweep(benchmark, options):
+    result = run_once(benchmark, figure5, **options)
     print("\n" + result.to_markdown())
     # The paper: tiny filter caches hurt badly, 2048 bytes is enough that no
     # benchmark slows down appreciably.

@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments.figures import figure6
 
 
-def test_figure6_filter_cache_associativity_sweep(benchmark, runner):
-    result = run_once(benchmark, figure6, runner)
+def test_figure6_filter_cache_associativity_sweep(benchmark, options):
+    result = run_once(benchmark, figure6, **options)
     print("\n" + result.to_markdown())
     # Direct-mapped filter caches suffer conflict misses; 4-way is within a
     # small margin of fully associative (the paper picks 4-way).

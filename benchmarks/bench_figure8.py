@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments.figures import figure8
 
 
-def test_figure8_cumulative_mechanisms_parsec(benchmark, runner):
-    result = run_once(benchmark, figure8, runner)
+def test_figure8_cumulative_mechanisms_parsec(benchmark, options):
+    result = run_once(benchmark, figure8, **options)
     print("\n" + result.to_markdown())
     labels = ["insecure L0", "fcache only", "coherency", "ifcache",
               "prefetching", "clear misspec"]

@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments.figures import figure9
 
 
-def test_figure9_cumulative_mechanisms_spec(benchmark, runner):
-    result = run_once(benchmark, figure9, runner)
+def test_figure9_cumulative_mechanisms_spec(benchmark, options):
+    result = run_once(benchmark, figure9, **options)
     print("\n" + result.to_markdown())
     labels = ["insecure L0", "fcache only", "coherency", "ifcache",
               "prefetching", "clear misspec", "parallel L1d"]

@@ -1,11 +1,12 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one exhibit of the paper.  The harness routes
-through the campaign layer (:mod:`repro.harness`): each figure's run
-matrix executes on a ``multiprocessing`` pool sized by ``REPRO_JOBS``
-(default: every core), and when ``REPRO_STORE`` names a directory the
-per-cell results are persisted there, so re-running the harness only
-simulates cells that are not already cached.
+Every benchmark regenerates one exhibit of the paper through
+:mod:`repro.api`: each figure's run matrix executes on a
+``multiprocessing`` pool sized by ``REPRO_JOBS`` (default: every core).
+Per-cell results go to one result store shared by the whole session, so
+figures reuse each other's baselines.  When ``REPRO_STORE`` names a
+directory the store lives there, and re-running the harness only
+simulates cells that are not already stored.
 
 The sample length per workload is deliberately small by default so the
 whole harness runs in a few minutes; set ``REPRO_INSTRUCTIONS`` to a
@@ -20,24 +21,24 @@ import os
 import pytest
 
 from repro.harness.store import ResultStore
-from repro.sim.runner import ExperimentRunner, instructions_per_workload, parallel_jobs
+from repro.sim.runner import instructions_per_workload, parallel_jobs
 
 #: Default per-workload sample length for the benchmark harness.
 BENCH_INSTRUCTIONS = instructions_per_workload(default=1000)
 
 
 @pytest.fixture(scope="session")
-def store():
-    """Persistent result store, enabled by setting ``REPRO_STORE``."""
+def store(tmp_path_factory):
+    """The session's result store: ``REPRO_STORE``, else a temporary one."""
     path = os.environ.get("REPRO_STORE")
-    return ResultStore(path) if path else None
+    return ResultStore(path or tmp_path_factory.mktemp("store"))
 
 
 @pytest.fixture(scope="session")
-def runner(store) -> ExperimentRunner:
-    """One shared campaign-backed runner so benchmarks reuse baselines."""
-    return ExperimentRunner(instructions=BENCH_INSTRUCTIONS, store=store,
-                            jobs=parallel_jobs())
+def options(store):
+    """The keyword options every figure is called with."""
+    return {"instructions": BENCH_INSTRUCTIONS, "store": store,
+            "jobs": parallel_jobs()}
 
 
 def run_once(benchmark, func, *args, **kwargs):

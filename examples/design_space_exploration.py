@@ -43,8 +43,7 @@ def run_sweep(title, configs, instructions, store):
         instructions=instructions, store=store)
     print(comparison.render(title=title))
     stats = comparison.result.stats
-    print(f"[{stats.executed} simulated, "
-          f"{stats.store_hits + stats.memory_hits} cached]")
+    print(f"[{stats.executed} simulated, {stats.store_hits} cached]")
     print()
     return comparison
 

@@ -1,8 +1,8 @@
 """Quickstart: the public API in a dozen lines.
 
 Simulates one workload under MuonTrap and the unprotected baseline through
-:mod:`repro.api` — the stable facade the CLI, the experiment runner and the
-figure reproductions all use — and prints the normalised execution time
+:mod:`repro.api` — the stable facade the CLI, the figure reproductions and
+the benchmark harness all use — and prints the normalised execution time
 together with the filter-cache statistics that explain it.
 
 Run with:  python examples/quickstart.py [benchmark] [instructions]

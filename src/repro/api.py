@@ -17,12 +17,12 @@ description dict (:mod:`repro.common.machine`), or a path to a machine
 JSON file — and *workload-likes* (benchmark / mix names or profile
 objects) anywhere a workload is expected.  :func:`resolve_machine` and
 :func:`resolve_workload` are that one authoritative resolution path; the
-command line, the :class:`~repro.sim.runner.ExperimentRunner`, the figure
-reproductions and the examples all construct their systems through it.
+command line, the figure reproductions and the examples all construct
+their systems through it.
 
 Execution routes through the campaign layer, so the facade inherits its
-guarantees: deterministic results independent of worker count, in-memory
-content-hash caching, and incremental persistence when a
+guarantees: deterministic results independent of worker count, and
+content-hash-keyed, incremental persistence when a
 :class:`~repro.harness.store.ResultStore` is attached.
 
 Quickstart::
@@ -65,16 +65,15 @@ from repro.harness.campaign import (
     DEFAULT_SEED,
     RunSpec,
     execute_cells,
+    run_cell,
 )
 from repro.harness.report import Report
 from repro.harness.store import ResultStore
 from repro.schemes import get_scheme, is_registered
 from repro.sim.runner import DEFAULT_WARMUP_FRACTION, instructions_per_workload
-from repro.sim.simulator import SimulationResult, Simulator
-from repro.sim.system import build_system
+from repro.sim.simulator import SimulationResult
 from repro.telemetry.metrics import MetricsSampler, TimeSeries
-from repro.telemetry.tracer import Tracer, tracing
-from repro.workloads.generator import generate_workload
+from repro.telemetry.tracer import Tracer
 from repro.workloads.profiles import get_profile
 
 #: Anything that resolves to a machine configuration.
@@ -296,7 +295,6 @@ def simulate(workload: WorkloadLike,
              collect_stats: bool = False,
              label: Optional[str] = None,
              store: Optional[ResultStore] = None,
-             cache: Optional[Dict[str, SimulationResult]] = None,
              trace: Union[bool, str, os.PathLike, Tracer, None] = None,
              chrome_trace: Union[str, os.PathLike, None] = None,
              metrics_every: Optional[int] = None
@@ -308,8 +306,8 @@ def simulate(workload: WorkloadLike,
     protection scheme uniformly (``simulate("mcf", scheme="stt-future")``).
     ``instructions`` defaults to ``REPRO_INSTRUCTIONS`` or the module
     default; the machine is widened automatically when the workload needs
-    more cores.  ``store`` and ``cache`` opt into the campaign layer's
-    persistent / in-memory result reuse.
+    more cores.  ``store`` opts into the campaign layer's persistent
+    result reuse.
 
     The telemetry options run the cell *instrumented*: ``trace=True``
     collects cycle-level events on the returned ``outcome.tracer``, a path
@@ -317,8 +315,8 @@ def simulate(workload: WorkloadLike,
     your own instance (preserving its category filter); ``chrome_trace``
     writes a Perfetto-loadable Chrome trace; ``metrics_every=N`` snapshots
     the statistics tree every N cycles onto ``outcome.timeseries``.
-    Instrumented runs always simulate inline — caches are neither
-    consulted nor written, because a cached result has no event stream.
+    Instrumented runs always simulate inline — the store is neither
+    consulted nor written, because a stored result has no event stream.
     """
     profile = resolve_workload(workload)
     config = resolve_machine(machine)
@@ -336,7 +334,7 @@ def simulate(workload: WorkloadLike,
         return _simulate_instrumented(spec, trace=trace,
                                       chrome_trace=chrome_trace,
                                       metrics_every=metrics_every)
-    results = execute_cells([spec], jobs=1, store=store, cache=cache)
+    results = execute_cells([spec], jobs=1, store=store)
     return SimulationOutcome(
         benchmark=profile.name, label=label, machine=config, seed=seed,
         instructions_requested=spec.instructions,
@@ -348,29 +346,15 @@ def _simulate_instrumented(spec: RunSpec, *,
                            chrome_trace: Union[str, os.PathLike, None],
                            metrics_every: Optional[int]
                            ) -> SimulationOutcome:
-    """One cell, run inline with telemetry attached.
-
-    Mirrors :func:`repro.harness.campaign.run_cell` exactly (same trace
-    generation, core widening and simulator construction), so an
-    instrumented run's cycles and statistics are bit-identical to the
-    cached path's.
+    """One cell, run inline through :func:`run_cell` with telemetry
+    attached, so its cycles and statistics equal the uninstrumented run's.
     """
-    workload = generate_workload(spec.profile, spec.instructions,
-                                 seed=spec.seed)
-    cores_needed = max(1, spec.profile.num_threads)
-    system_config = spec.config.with_cores(max(spec.config.num_cores,
-                                               cores_needed))
-    system = build_system(system_config, seed=spec.seed)
     tracer: Optional[Tracer] = None
     if (trace is not None and trace is not False) or chrome_trace is not None:
         tracer = trace if isinstance(trace, Tracer) else Tracer()
-        tracer.attach(system)
     sampler = (MetricsSampler(metrics_every)
                if metrics_every is not None else None)
-    simulator = Simulator(system, sampler=sampler)
-    with tracing(tracer):
-        result = simulator.run(workload, collect_stats=spec.collect_stats,
-                               warmup_fraction=spec.warmup_fraction)
+    result = run_cell(spec, tracer=tracer, sampler=sampler)
     trace_path: Optional[Path] = None
     if tracer is not None and isinstance(trace, (str, os.PathLike)):
         trace_path = Path(trace)
@@ -478,15 +462,13 @@ def build_comparison(schemes: Union[Sequence[Any], Mapping[str, Any]],
                      collect_stats: bool = False,
                      store: Optional[ResultStore] = None,
                      jobs: Optional[int] = None,
-                     cache: Optional[Dict[str, SimulationResult]] = None,
                      max_retries: Optional[int] = None,
                      cell_timeout: Optional[float] = None
                      ) -> Campaign:
     """The :class:`Campaign` behind :func:`compare`, not yet executed.
 
-    The command line uses this to run the same matrix under a profiler,
-    and the :class:`~repro.sim.runner.ExperimentRunner` to share its
-    in-memory result ``cache``; ordinary callers want :func:`compare`.
+    The command line uses this to run the same matrix under a profiler;
+    ordinary callers want :func:`compare`.
     """
     base = resolve_machine(machine)
     configs = _series_configs(schemes, base)
@@ -500,7 +482,7 @@ def build_comparison(schemes: Union[Sequence[Any], Mapping[str, Any]],
         suites, configs=configs, baseline_config=baseline_config,
         baseline_label=baseline_label, instructions=instructions,
         seed=seed, replicates=replicates, warmup_fraction=warmup_fraction,
-        collect_stats=collect_stats, store=store, jobs=jobs, cache=cache,
+        collect_stats=collect_stats, store=store, jobs=jobs,
         max_retries=max_retries, cell_timeout=cell_timeout)
 
 

@@ -137,7 +137,6 @@ class OutOfOrderCore:
         self._committed_in_cycle: Tuple[int, int] = (-1, 0)
         self._last_commit_time = 0
         self._last_branch_resolve = 0   # prefix max of branch resolve times
-        self._sequence = 0
         self._pending_lq_hold = 0
         self._line_size = per_core.l1i.line_size
         self._current_fetch_line: Optional[int] = None
@@ -248,8 +247,6 @@ class OutOfOrderCore:
     # -- main per-instruction processing --------------------------------------------------------
     def execute_op(self, op: MicroOp) -> int:
         """Process one micro-op; returns its commit time."""
-        op.sequence = self._sequence
-        self._sequence += 1
         tracer = self._tracer = _active_tracer()
 
         # 1. Front end: fetch and dispatch, bounded by ROB/LSQ occupancy and
@@ -775,7 +772,6 @@ class OutOfOrderCore:
         self._pending_lq_hold = pending_lq_hold
         self._dispatched_in_cycle = (dispatch_cycle, dispatch_used)
         self._committed_in_cycle = (commit_cycle, commit_used)
-        self._sequence += end - start
         rob.full_stalls += n_rob_stalls
         load_queue.full_stalls += n_lq_stalls
         store_queue.full_stalls += n_sq_stalls

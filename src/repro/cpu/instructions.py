@@ -107,7 +107,6 @@ class MicroOp:
 
     kind: OpKind
     pc: int
-    sequence: int = 0
     address: Optional[int] = None
     src_regs: Tuple[int, ...] = ()
     dst_reg: Optional[int] = None

@@ -49,14 +49,15 @@ from repro.harness.faults import active_fault_plan
 from repro.harness.store import ResultStore, stable_key
 from repro.sim.runner import (
     DEFAULT_WARMUP_FRACTION,
-    NormalisedSeries,
     instructions_per_workload,
     parallel_jobs,
 )
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sim.system import build_system
 from repro.telemetry.log import get_logger, log_event
+from repro.telemetry.metrics import MetricsSampler
 from repro.telemetry.phases import phase
+from repro.telemetry.tracer import Tracer, tracing
 from repro.workloads.generator import generate_workload
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
@@ -68,8 +69,8 @@ ProgressCallback = Callable[[int, int], None]
 
 def derive_seed(base_seed: int, replicate: int) -> int:
     """Seed of one replicate: stable, collision-free, and equal to the
-    base seed for replicate 0 so single-replicate campaigns reproduce the
-    historical :class:`~repro.sim.runner.ExperimentRunner` numbers."""
+    base seed for replicate 0 so a single-replicate campaign's cells equal
+    :func:`repro.api.simulate` runs at the same seed."""
     if replicate == 0:
         return base_seed
     return (base_seed + 0x9E3779B1 * replicate) & 0x7FFFFFFF
@@ -98,7 +99,8 @@ class RunSpec:
                           self.collect_stats)
 
 
-def run_cell(spec: RunSpec) -> SimulationResult:
+def run_cell(spec: RunSpec, tracer: Optional[Tracer] = None,
+             sampler: Optional[MetricsSampler] = None) -> SimulationResult:
     """Execute one cell from scratch (pure function of the spec).
 
     Trace generation goes through the workload trace cache
@@ -106,6 +108,10 @@ def run_cell(spec: RunSpec) -> SimulationResult:
     across several configurations generates its trace once; pointing
     ``REPRO_TRACE_CACHE`` at a directory extends the sharing across
     workers and campaign invocations.
+
+    ``tracer`` and ``sampler`` instrument the run (cycle-level events and
+    time-series metrics, :mod:`repro.telemetry`); neither changes the
+    simulated result.
     """
     with phase("trace-gen"):
         workload = generate_workload(spec.profile, spec.instructions,
@@ -117,8 +123,11 @@ def run_cell(spec: RunSpec) -> SimulationResult:
         cores_needed = max(1, spec.profile.num_threads)
         system_config = spec.config.with_cores(max(spec.config.num_cores,
                                                    cores_needed))
-        simulator = Simulator(build_system(system_config, seed=spec.seed))
-    with phase("simulate"):
+        system = build_system(system_config, seed=spec.seed)
+        if tracer is not None:
+            tracer.attach(system)
+        simulator = Simulator(system, sampler=sampler)
+    with phase("simulate"), tracing(tracer):
         return simulator.run(workload, collect_stats=spec.collect_stats,
                              warmup_fraction=spec.warmup_fraction)
 
@@ -137,6 +146,8 @@ class ExecutionStats:
 
     executed: int = 0
     store_hits: int = 0
+    #: Always 0: the result store is the one reuse tier.  Kept because
+    #: ``perfbench/run.py`` still reads it.
     memory_hits: int = 0
     executed_seconds: float = 0.0
     wall_seconds: float = 0.0
@@ -152,13 +163,13 @@ class ExecutionStats:
 
     @property
     def total(self) -> int:
-        return self.executed + self.store_hits + self.memory_hits
+        return self.executed + self.store_hits
 
     @property
     def cached_fraction(self) -> float:
         if not self.total:
             return 0.0
-        return (self.store_hits + self.memory_hits) / self.total
+        return self.store_hits / self.total
 
     @property
     def worker_utilisation(self) -> float:
@@ -170,8 +181,7 @@ class ExecutionStats:
 
     def summary(self) -> str:
         """One human-readable line for reports and logs."""
-        text = (f"{self.executed} executed, {self.store_hits} store hits, "
-                f"{self.memory_hits} memory hits "
+        text = (f"{self.executed} executed, {self.store_hits} store hits "
                 f"({self.cached_fraction:.0%} cached)")
         if self.executed and self.wall_seconds > 0:
             text += (f"; {self.executed_seconds:.2f}s simulated work in "
@@ -188,7 +198,6 @@ class ExecutionStats:
 def execute_cells(specs: Sequence[RunSpec], *,
                   jobs: Optional[int] = None,
                   store: Optional[ResultStore] = None,
-                  cache: Optional[Dict[str, SimulationResult]] = None,
                   stats: Optional[ExecutionStats] = None,
                   progress: Optional[ProgressCallback] = None,
                   executor: Optional[Executor] = None,
@@ -196,17 +205,16 @@ def execute_cells(specs: Sequence[RunSpec], *,
                   cell_timeout: Optional[float] = None,
                   failures: Optional[List[FailedCell]] = None
                   ) -> Dict[str, SimulationResult]:
-    """Execute cells, consulting the in-memory cache and result store.
+    """Execute cells, consulting the result store first.
 
     Returns a mapping from cell key to result covering every spec.  Cells
-    missing from both caches run through the supervised executor layer
+    missing from the store run through the supervised executor layer
     (:mod:`repro.harness.executor`): a :class:`PoolExecutor` when
     ``jobs > 1``, a :class:`SerialExecutor` otherwise, or any
-    ``executor`` passed explicitly.  Results land back in both caches —
-    the store is written *as each cell completes*, so an interrupted run
-    resumes from everything that finished.  The output is independent of
-    the worker count, and of how many retries, timeouts or worker deaths
-    occurred along the way.
+    ``executor`` passed explicitly.  The store is written *as each cell
+    completes*, so an interrupted run resumes from everything that
+    finished.  The output is independent of the worker count, and of how
+    many retries, timeouts or worker deaths occurred along the way.
 
     ``max_retries`` / ``cell_timeout`` configure the default executors
     (falling back to ``REPRO_MAX_RETRIES`` / ``REPRO_CELL_TIMEOUT``).
@@ -216,7 +224,7 @@ def execute_cells(specs: Sequence[RunSpec], *,
     fail-fast contract for single-cell callers).
 
     ``progress`` (if given) is called with ``(done, total)`` over the
-    *unique* cells: once up front for everything the caches satisfied,
+    *unique* cells: once up front for everything the store satisfied,
     then once per finished (or quarantined) simulation.
     """
     jobs = parallel_jobs(default=None) if jobs is None else max(1, jobs)
@@ -229,10 +237,6 @@ def execute_cells(specs: Sequence[RunSpec], *,
     for spec in specs:
         key = spec.key()
         if key in results or key in pending_keys:
-            continue
-        if cache is not None and key in cache:
-            results[key] = cache[key]
-            stats.memory_hits += 1
             continue
         if store is not None:
             stored = store.get(key)
@@ -305,8 +309,6 @@ def execute_cells(specs: Sequence[RunSpec], *,
                       completed=progress_state["done"], total=total)
             raise
 
-    if cache is not None:
-        cache.update(results)
     # Deterministic iteration order regardless of completion order: rebuild
     # the mapping in first-seen spec order.
     ordered: Dict[str, SimulationResult] = {}
@@ -318,7 +320,7 @@ def execute_cells(specs: Sequence[RunSpec], *,
     stats.wall_seconds += time.perf_counter() - started
     if pending:
         log_event(logger, "execute_done", executed=stats.executed,
-                  store_hits=stats.store_hits, memory_hits=stats.memory_hits,
+                  store_hits=stats.store_hits,
                   failed=stats.failed, retries=stats.retries,
                   wall=f"{stats.wall_seconds:.2f}")
     if failed_cells:
@@ -439,11 +441,6 @@ class CampaignResult:
             series[label] = values
         return series
 
-    def normalised_series(self) -> Dict[str, NormalisedSeries]:
-        """The same data as :class:`~repro.sim.runner.NormalisedSeries`."""
-        return {label: NormalisedSeries(label=label, values=values)
-                for label, values in self.normalised().items()}
-
     def geomeans(self) -> Dict[str, float]:
         return {label: geometric_mean([v for v in values.values() if v > 0])
                 for label, values in self.normalised().items()}
@@ -523,7 +520,6 @@ class Campaign:
                  collect_stats: bool = False,
                  store: Optional[ResultStore] = None,
                  jobs: Optional[int] = None,
-                 cache: Optional[Dict[str, SimulationResult]] = None,
                  max_retries: Optional[int] = None,
                  cell_timeout: Optional[float] = None,
                  executor: Optional[Executor] = None
@@ -552,10 +548,6 @@ class Campaign:
         self.max_retries = max_retries
         self.cell_timeout = cell_timeout
         self.executor = executor
-        # An external cache (e.g. an ExperimentRunner's) may be shared so
-        # several campaigns reuse each other's in-memory results.
-        self._cache: Dict[str, SimulationResult] = \
-            cache if cache is not None else {}
 
     @classmethod
     def from_suites(cls, suites: Sequence[str], *args, **kwargs) -> "Campaign":
@@ -590,7 +582,7 @@ class Campaign:
 
     def run(self, progress: Optional[ProgressCallback] = None
             ) -> CampaignResult:
-        """Execute the matrix (parallel, cached) and index the results.
+        """Execute the matrix (parallel, store-backed) and index the results.
 
         ``progress`` overrides the live progress line: pass a callback to
         observe ``(done, total)`` yourself, or leave it ``None`` to get a
@@ -603,7 +595,7 @@ class Campaign:
         specs = self.cells()
         failures: List[FailedCell] = []
         results = execute_cells(specs, jobs=self.jobs, store=self.store,
-                                cache=self._cache, stats=stats,
+                                stats=stats,
                                 progress=progress, executor=self.executor,
                                 max_retries=self.max_retries,
                                 cell_timeout=self.cell_timeout,
@@ -611,24 +603,21 @@ class Campaign:
         return self._index_results(results, stats, failures)
 
     def partial_result(self) -> CampaignResult:
-        """Index whatever the caches already hold, executing nothing.
+        """Index whatever the store already holds, executing nothing.
 
         This is how an interrupted run reports the cells that completed
-        (they were persisted as they finished): collect the cached subset,
+        (they were persisted as they finished): collect the stored subset,
         render a partial table, and leave the missing cells for the next
         invocation to compute.
         """
         results: Dict[str, SimulationResult] = {}
-        for spec in self.cells():
-            key = spec.key()
-            if key in results:
-                continue
-            if key in self._cache:
-                results[key] = self._cache[key]
-            elif self.store is not None:
-                stored = self.store.get(key)
-                if stored is not None:
-                    results[key] = stored
+        if self.store is not None:
+            for spec in self.cells():
+                key = spec.key()
+                if key not in results:
+                    stored = self.store.get(key)
+                    if stored is not None:
+                        results[key] = stored
         indexed = self._index_results(results, ExecutionStats(), [])
         # A partial table only shows rows with data; benchmarks whose
         # every cell is still missing would render as all-zero noise.

@@ -2,7 +2,7 @@
 
 Historically, adding a protection scheme meant editing the
 :class:`~repro.common.params.ProtectionMode` enum *and* the dispatch
-if-chain in :func:`repro.sim.hetero.frontend_factory` *and* every module
+if-chain that chose each core's memory-system factory *and* every module
 that compared ``ProtectionMode`` members to learn a scheme's capabilities.
 This module replaces all of that with data: a :class:`SchemeSpec` bundles
 a scheme's name, its memory-system factory and its capability flags, and

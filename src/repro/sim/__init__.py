@@ -1,9 +1,6 @@
-"""Simulation driver: system construction, execution and experiment running."""
+"""Simulation driver: system construction, execution and run-matrix settings."""
 
 from repro.sim.runner import (
-    BenchmarkRun,
-    ExperimentRunner,
-    NormalisedSeries,
     cumulative_protection_configs,
     env_int,
     instructions_per_workload,
@@ -21,11 +18,8 @@ from repro.sim.sweeps import (
 from repro.sim.system import SimulatedSystem, build_memory_system, build_system
 
 __all__ = [
-    "BenchmarkRun",
     "DEFAULT_ASSOCIATIVITY_SWEEP",
     "DEFAULT_SIZE_SWEEP",
-    "ExperimentRunner",
-    "NormalisedSeries",
     "SimulatedSystem",
     "SimulationResult",
     "Simulator",

@@ -255,15 +255,6 @@ class Simulator:
                 config.core_config(core_id).pipeline.frequency_ghz
                 for core_id in range(config.num_cores)])
 
-    def run_trace_on_core(self, trace: Trace, core_index: int) -> CoreResult:
-        """Run a single trace to completion on one core (test helper)."""
-        core = self.system.core(core_index)
-        core.process_id = trace.process_id
-        if self.use_packed:
-            core.run_packed(trace.packed())
-            return core.result()
-        return core.run(trace.ops)
-
     # -- internals ------------------------------------------------------------
     def _drain_memory_system(self) -> None:
         """Flush end-of-run buffers (e.g. pending prefetcher training)."""

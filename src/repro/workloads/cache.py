@@ -45,7 +45,7 @@ from repro.workloads.trace import WorkloadTraces
 TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 
 #: Bump when the trace layout changes; stale on-disk entries are ignored.
-TRACE_CACHE_VERSION = 2
+TRACE_CACHE_VERSION = 3
 
 #: Workloads kept in the in-process LRU tier.
 MEMORY_ENTRIES = 8

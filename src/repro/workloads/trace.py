@@ -59,12 +59,12 @@ class PackedTrace:
     """
 
     __slots__ = ("length", "kinds", "flags", "pcs", "addresses", "latencies",
-                 "srcs", "dsts", "targets", "wrong_paths", "sequences")
+                 "srcs", "dsts", "targets", "wrong_paths")
 
     def __init__(self, length: int, kinds: List[int], flags: List[int],
                  pcs: List[int], addresses: List[int], latencies: List[int],
                  srcs: List[tuple], dsts: List[int], targets: List[int],
-                 wrong_paths: List[list], sequences: List[int]) -> None:
+                 wrong_paths: List[list]) -> None:
         self.length = length
         self.kinds = kinds
         self.flags = flags
@@ -75,7 +75,6 @@ class PackedTrace:
         self.dsts = dsts
         self.targets = targets
         self.wrong_paths = wrong_paths
-        self.sequences = sequences
 
     def __len__(self) -> int:
         return self.length
@@ -93,7 +92,6 @@ class PackedTrace:
         dsts = [_NONE] * length
         targets = [_NONE] * length
         wrong_paths: List[list] = [None] * length  # type: ignore[list-item]
-        sequences = [0] * length
         kind_flags = KIND_FLAGS
         code_of = _CODE_OF_KIND
         for i, op in enumerate(ops):
@@ -121,41 +119,19 @@ class PackedTrace:
             if op.target is not None:
                 targets[i] = op.target
             wrong_paths[i] = op.wrong_path
-            sequences[i] = op.sequence
         return cls(length, kinds, flags, pcs, addresses, latencies, srcs,
-                   dsts, targets, wrong_paths, sequences)
+                   dsts, targets, wrong_paths)
 
     def unpack(self) -> List[MicroOp]:
         """Rebuild the equivalent micro-op list (lossless inverse of pack)."""
-        ops: List[MicroOp] = []
-        for i in range(self.length):
-            flags = self.flags[i]
-            ops.append(MicroOp(
-                kind=_KIND_CODES[self.kinds[i]],
-                pc=self.pcs[i],
-                sequence=self.sequences[i],
-                address=None if self.addresses[i] == _NONE
-                else self.addresses[i],
-                src_regs=self.srcs[i],
-                dst_reg=None if self.dsts[i] == _NONE else self.dsts[i],
-                execution_latency=self.latencies[i],
-                taken=bool(flags & F_TAKEN),
-                target=None if self.targets[i] == _NONE else self.targets[i],
-                force_mispredict=(bool(flags & F_FORCE_MISPREDICT_VALUE)
-                                  if flags & F_FORCE_MISPREDICT else None),
-                wrong_path=list(self.wrong_paths[i]),
-                is_context_switch=bool(flags & F_CONTEXT_SWITCH),
-                is_sandbox_entry=bool(flags & F_SANDBOX_ENTRY),
-            ))
-        return ops
+        return [self.op(i) for i in range(self.length)]
 
     def op(self, index: int) -> MicroOp:
-        """Materialise one op (debugging/inspection helper)."""
+        """Materialise one op."""
         flags = self.flags[index]
         return MicroOp(
             kind=_KIND_CODES[self.kinds[index]],
             pc=self.pcs[index],
-            sequence=self.sequences[index],
             address=None if self.addresses[index] == _NONE
             else self.addresses[index],
             src_regs=self.srcs[index],

@@ -8,7 +8,6 @@ from repro.common.params import (
     ProtectionMode,
     SystemConfig,
 )
-from repro.sim.runner import ExperimentRunner, unprotected_config
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
 from repro.workloads.generator import generate_workload
@@ -136,21 +135,6 @@ class TestSimulate:
 
 
 class TestCompare:
-    def test_matches_experiment_runner(self):
-        comparison = api.compare(["muontrap", "stt-spectre"], suite="mcf",
-                                 seed=1234, instructions=INSTRUCTIONS)
-        runner = ExperimentRunner(instructions=INSTRUCTIONS, seed=1234)
-        series = runner.normalised_series(
-            ["mcf"],
-            {"MuonTrap": SystemConfig(mode=ProtectionMode.MUONTRAP),
-             "STT-Spectre": SystemConfig(mode=ProtectionMode.STT_SPECTRE)},
-            unprotected_config())
-        normalised = comparison.normalised()
-        assert normalised["MuonTrap"]["mcf"] \
-            == series["MuonTrap"].values["mcf"]
-        assert normalised["STT-Spectre"]["mcf"] \
-            == series["STT-Spectre"].values["mcf"]
-
     def test_accepts_mixed_series_and_mappings(self):
         comparison = api.compare(
             {"protected": "muontrap", "machine": "asym-protect"},

@@ -14,7 +14,8 @@ from repro.harness.campaign import (
     run_cell,
 )
 from repro.harness.store import ResultStore, result_to_dict
-from repro.sim.runner import ExperimentRunner, unprotected_config
+from repro.harness.executor import SerialExecutor
+from repro.sim.runner import unprotected_config
 from repro.workloads.profiles import get_profile
 
 INSTRUCTIONS = 600
@@ -102,12 +103,42 @@ class TestCaching:
         assert rerun.stats.cached_fraction == 1.0
         assert rerun.geomeans() == first.geomeans()
 
-    def test_in_memory_cache_hits_on_second_run(self, tmp_path):
+    def test_rerun_without_a_store_executes_again(self):
         campaign = make_campaign()
-        campaign.run()
+        first = campaign.run()
         again = campaign.run()
-        assert again.stats.executed == 0
-        assert again.stats.memory_hits == 4
+        assert again.stats.executed == again.stats.total == 4
+        assert again.stats.memory_hits == 0
+        assert again.stats.cached_fraction == 0.0
+        assert again.geomeans() == first.geomeans()
+
+    def test_partial_result_serves_stored_cells_after_interrupt(
+            self, tmp_path):
+        class InterruptAfterTwo(SerialExecutor):
+            def execute(self, tasks, **kwargs):
+                super().execute(tasks[:2], **kwargs)
+                raise KeyboardInterrupt
+
+        store = ResultStore(tmp_path)
+        campaign = Campaign(["hmmer", "povray"], configs=CONFIGS,
+                            baseline_config=unprotected_config(),
+                            instructions=INSTRUCTIONS, store=store,
+                            executor=InterruptAfterTwo())
+        with pytest.raises(KeyboardInterrupt):
+            campaign.run()
+        partial = campaign.partial_result()
+        assert set(partial.runs) == {("hmmer", "MuonTrap", 1234),
+                                     ("hmmer", "baseline", 1234)}
+        assert partial.benchmarks == ["hmmer"]
+        complete = make_campaign(store=store).run()
+        assert complete.stats.store_hits == 2
+        assert partial.normalised()["MuonTrap"]["hmmer"] \
+            == complete.normalised()["MuonTrap"]["hmmer"]
+
+    def test_partial_result_without_a_store_is_empty(self):
+        partial = make_campaign().partial_result()
+        assert partial.runs == {}
+        assert partial.benchmarks == []
 
     def test_widening_a_sweep_is_incremental(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -136,32 +167,3 @@ class TestNormalisation:
             protected = result.result(benchmark, "MuonTrap").cycles
             assert series[benchmark] == pytest.approx(protected / baseline)
             assert series[benchmark] > 0
-
-    def test_normalised_series_matches_runner_output(self):
-        campaign_series = make_campaign().run().normalised_series()
-        runner = ExperimentRunner(instructions=INSTRUCTIONS)
-        runner_series = runner.normalised_series(
-            ["hmmer", "povray"], CONFIGS, unprotected_config())
-        assert (campaign_series["MuonTrap"].values
-                == runner_series["MuonTrap"].values)
-
-
-class TestRunnerIntegration:
-    def test_runner_uses_store_across_instances(self, tmp_path):
-        store = ResultStore(tmp_path)
-        first = ExperimentRunner(instructions=INSTRUCTIONS, store=store)
-        first.run_benchmark("hmmer", unprotected_config())
-        assert len(store) == 1
-
-        second = ExperimentRunner(instructions=INSTRUCTIONS, store=store)
-        hits_before = store.hits
-        run = second.run_benchmark("hmmer", unprotected_config())
-        assert store.hits == hits_before + 1
-        assert run.result.cycles > 0
-
-    def test_parallel_runner_matches_sequential(self):
-        sequential = ExperimentRunner(instructions=INSTRUCTIONS, jobs=1)
-        parallel = ExperimentRunner(instructions=INSTRUCTIONS, jobs=2)
-        args = (["hmmer", "povray"], CONFIGS, unprotected_config())
-        assert (sequential.normalised_series(*args)["MuonTrap"].values
-                == parallel.normalised_series(*args)["MuonTrap"].values)

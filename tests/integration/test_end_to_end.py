@@ -3,59 +3,69 @@
 These are small versions of the paper's experiments: they run real workload
 traces through the full simulator under several protection modes and check
 the qualitative relationships the paper reports, plus the experiment and
-table drivers used by the benchmark harness.
+table drivers used by the benchmark harness.  One result store serves
+the whole module, so tests share the cells they have in common.
 """
 
 import pytest
 
+from repro import api
 from repro.common.params import ProtectionMode, SystemConfig
 from repro.experiments.figures import figure4, figure7
 from repro.experiments.security import run_security_evaluation
 from repro.experiments.table1 import format_table1, table1_as_dict
-from repro.sim.runner import ExperimentRunner, standard_modes, unprotected_config
+from repro.harness.store import ResultStore
+from repro.sim.runner import standard_modes, unprotected_config
+
+INSTRUCTIONS = 900
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(instructions=900)
+def store(tmp_path_factory):
+    return ResultStore(tmp_path_factory.mktemp("store"))
+
+
+@pytest.fixture(scope="module")
+def run(store):
+    def simulate(benchmark, machine):
+        return api.simulate(benchmark, machine, instructions=INSTRUCTIONS,
+                            store=store)
+    return simulate
 
 
 class TestPerformanceRelationships:
-    def test_every_mode_completes_a_spec_workload(self, runner):
-        baseline = runner.run_benchmark("hmmer", unprotected_config())
-        assert baseline.result.cycles > 0
+    def test_every_mode_completes_a_spec_workload(self, run):
+        baseline = run("hmmer", unprotected_config())
+        assert baseline.cycles > 0
         for label, config in standard_modes().items():
-            run = runner.run_benchmark("hmmer", config, label=label)
-            ratio = run.result.cycles / baseline.result.cycles
+            ratio = run("hmmer", config).cycles / baseline.cycles
             assert 0.5 < ratio < 3.0, f"{label} ratio {ratio} implausible"
 
-    def test_muontrap_cheaper_than_invisispec_future_on_parsec(self, runner):
-        baseline = runner.run_benchmark("streamcluster",
-                                        unprotected_config(num_cores=4))
-        muontrap = runner.run_benchmark(
-            "streamcluster",
-            SystemConfig(mode=ProtectionMode.MUONTRAP, num_cores=4),
-            label="mt")
-        invisispec = runner.run_benchmark(
-            "streamcluster",
-            SystemConfig(mode=ProtectionMode.INVISISPEC_FUTURE, num_cores=4),
-            label="isf")
-        assert muontrap.result.cycles <= invisispec.result.cycles * 1.05
-        assert baseline.result.cycles > 0
+    def test_muontrap_cheaper_than_invisispec_future_on_parsec(self, run):
+        baseline = run("streamcluster", unprotected_config(num_cores=4))
+        muontrap = run("streamcluster",
+                       SystemConfig(mode=ProtectionMode.MUONTRAP,
+                                    num_cores=4))
+        invisispec = run("streamcluster",
+                         SystemConfig(mode=ProtectionMode.INVISISPEC_FUTURE,
+                                      num_cores=4))
+        assert muontrap.cycles <= invisispec.cycles * 1.05
+        assert baseline.cycles > 0
 
-    def test_clear_on_misspeculate_costs_something(self, runner):
+    def test_clear_on_misspeculate_costs_something(self, run):
         from repro.common.params import ProtectionConfig
         base = SystemConfig(mode=ProtectionMode.MUONTRAP)
         clearing = base.with_protection(
             ProtectionConfig(clear_on_misspeculate=True))
-        normal = runner.run_benchmark("gobmk", base, label="mt")
-        cleared = runner.run_benchmark("gobmk", clearing, label="mt-clear")
-        assert cleared.result.cycles >= normal.result.cycles * 0.97
+        normal = run("gobmk", base)
+        cleared = run("gobmk", clearing)
+        assert cleared.cycles >= normal.cycles * 0.97
 
 
 class TestExperimentDrivers:
-    def test_figure4_structure(self, runner):
-        result = figure4(runner, benchmarks=["swaptions", "blackscholes"])
+    def test_figure4_structure(self, store):
+        result = figure4(["swaptions", "blackscholes"],
+                         instructions=INSTRUCTIONS, store=store)
         assert set(result.series) == set(standard_modes())
         assert set(result.benchmarks) == {"swaptions", "blackscholes"}
         assert all(value > 0 for series in result.series.values()
@@ -63,8 +73,9 @@ class TestExperimentDrivers:
         table = result.format_table()
         assert "geomean" in table
 
-    def test_figure7_rates_are_proportions(self, runner):
-        result = figure7(runner, benchmarks=["gcc", "lbm", "povray"])
+    def test_figure7_rates_are_proportions(self, store):
+        result = figure7(["gcc", "lbm", "povray"],
+                         instructions=INSTRUCTIONS, store=store)
         rates = result.series["write fcache-invalidate rate"]
         assert set(rates) == {"gcc", "lbm", "povray"}
         assert all(0.0 <= rate <= 1.0 for rate in rates.values())

@@ -1,7 +1,7 @@
 """Differential suite: registry dispatch ≡ the pre-redesign enum dispatch.
 
-The scheme registry replaced the literal if-chain that used to live in
-``repro.sim.hetero.frontend_factory``.  These tests keep a faithful copy
+The scheme registry replaced the literal if-chain that used to pick each
+core's memory-system factory.  These tests keep a faithful copy
 of that pre-redesign chain and prove that, for all seven built-in schemes,
 a system dispatched through the registry simulates **bit-identically**
 (cycles, instructions, and the full statistics tree) to one dispatched

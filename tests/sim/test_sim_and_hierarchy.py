@@ -1,4 +1,4 @@
-"""Tests for the hierarchy, system builder, simulator and experiment runner."""
+"""Tests for the hierarchy, system builder, simulator and run-matrix configs."""
 
 import tracemalloc
 
@@ -14,12 +14,7 @@ from repro.common.params import (
     parsec_system_config,
 )
 from repro.core.muontrap import MuonTrapMemorySystem
-from repro.sim.runner import (
-    ExperimentRunner,
-    cumulative_protection_configs,
-    standard_modes,
-    unprotected_config,
-)
+from repro.sim.runner import cumulative_protection_configs, standard_modes
 from repro.sim.simulator import Simulator
 from repro.sim.sweeps import (
     filter_cache_associativity_configs,
@@ -171,23 +166,7 @@ class TestSimulator:
         assert first.cycles == second.cycles
 
 
-class TestExperimentRunner:
-    def test_normalised_series_contains_all_benchmarks(self):
-        runner = ExperimentRunner(instructions=600)
-        series = runner.normalised_series(
-            ["hmmer", "povray"],
-            {"MuonTrap": SystemConfig(mode=ProtectionMode.MUONTRAP)},
-            unprotected_config())
-        values = series["MuonTrap"].values
-        assert set(values) == {"hmmer", "povray"}
-        assert all(value > 0 for value in values.values())
-
-    def test_results_are_cached(self):
-        runner = ExperimentRunner(instructions=600)
-        first = runner.run_benchmark("hmmer", unprotected_config())
-        second = runner.run_benchmark("hmmer", unprotected_config())
-        assert first.result is second.result
-
+class TestRunMatrixConfigs:
     def test_standard_modes_and_ablation_configs(self):
         modes = standard_modes()
         assert set(modes) == {"MuonTrap", "InvisiSpec-Spectre",

@@ -133,6 +133,18 @@ class TestTracedSimulation:
         assert outcome.result.cycles == plain.result.cycles
         assert outcome.stats == plain.stats
 
+    def test_traced_run_is_a_timed_campaign_cell(self):
+        from repro.telemetry.phases import PHASES
+        before = PHASES.counts()
+        traced = traced_outcome()
+        after = PHASES.counts()
+        for name in ("trace-gen", "build", "simulate"):
+            assert after[name] == before.get(name, 0) + 1
+        plain = api.simulate("mcf", scheme="muontrap", seed=SEED,
+                             instructions=INSTRUCTIONS, warmup_fraction=0.0,
+                             collect_stats=True)
+        assert traced.result == plain.result
+
     def test_per_event_hit_miss_counts_sum_to_aggregate_counters(
             self, outcome):
         """Every cache hit/miss event must have an aggregate twin."""

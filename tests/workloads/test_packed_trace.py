@@ -41,7 +41,7 @@ def _varied_ops():
         MicroOp(kind=OpKind.NOP, pc=0x1018, is_sandbox_entry=True),
         MicroOp(kind=OpKind.BRANCH, pc=0x101C, taken=False, target=0x1000,
                 force_mispredict=False),
-        MicroOp(kind=OpKind.MUL_DIV, pc=0x1020, dst_reg=10, sequence=42),
+        MicroOp(kind=OpKind.MUL_DIV, pc=0x1020, dst_reg=10),
     ]
 
 
@@ -96,7 +96,7 @@ class TestPackedFlags:
             assert bool(flags & F_TRANSMITTER) == op.kind.is_transmitter
 
 
-def _random_op(rng: random.Random, sequence: int) -> MicroOp:
+def _random_op(rng: random.Random) -> MicroOp:
     """One random micro-op drawing every field from its full domain."""
     kind = rng.choice(list(OpKind))
     pc = rng.randrange(0, 1 << 32, 4)
@@ -116,7 +116,7 @@ def _random_op(rng: random.Random, sequence: int) -> MicroOp:
                         issue_offset=rng.randrange(1, 8))
         for _ in range(rng.randrange(0, 4))
     ]
-    return MicroOp(kind=kind, pc=pc, sequence=sequence, address=address,
+    return MicroOp(kind=kind, pc=pc, address=address,
                    src_regs=src_regs, dst_reg=dst_reg,
                    execution_latency=latency, taken=taken, target=target,
                    force_mispredict=force, wrong_path=wrong_path,
@@ -137,8 +137,7 @@ class TestRandomizedRoundTrip:
     @pytest.mark.parametrize("case", range(CASES))
     def test_round_trip_is_lossless(self, case):
         rng = random.Random(0xC0DE + case)
-        ops = [_random_op(rng, sequence)
-               for sequence in range(rng.randrange(1, 40))]
+        ops = [_random_op(rng) for _ in range(rng.randrange(1, 40))]
         packed = PackedTrace.pack(ops)
         assert len(packed) == len(ops)
         restored = packed.unpack()
@@ -153,8 +152,7 @@ class TestRandomizedRoundTrip:
     def test_repack_is_idempotent(self, case):
         """pack(unpack(packed)) reproduces every column exactly."""
         rng = random.Random(0xBEEF + case)
-        ops = [_random_op(rng, sequence)
-               for sequence in range(rng.randrange(1, 40))]
+        ops = [_random_op(rng) for _ in range(rng.randrange(1, 40))]
         once = PackedTrace.pack(ops)
         twice = PackedTrace.pack(once.unpack())
         assert once.kinds == twice.kinds
@@ -166,12 +164,11 @@ class TestRandomizedRoundTrip:
         assert once.dsts == twice.dsts
         assert once.targets == twice.targets
         assert once.wrong_paths == twice.wrong_paths
-        assert once.sequences == twice.sequences
 
     @pytest.mark.parametrize("case", range(0, CASES, 20))
     def test_single_op_materialisation_matches(self, case):
         rng = random.Random(0xF00D + case)
-        ops = [_random_op(rng, sequence) for sequence in range(16)]
+        ops = [_random_op(rng) for _ in range(16)]
         packed = PackedTrace.pack(ops)
         for index, op in enumerate(ops):
             assert packed.op(index) == op

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.common.params import SystemConfig
+from repro.sim.simulator import Simulator
+from repro.sim.system import build_system
 from repro.workloads.cache import (
     TRACE_CACHE_ENV,
     TraceCache,
@@ -128,6 +131,15 @@ class TestGenerateWorkloadCaching:
         generate_workload(get_profile("mcf"), 300, seed=4)
         assert list(tmp_path.glob("*.pkl"))
 
+    def test_per_op_engine_leaves_cached_ops_unchanged(self):
+        """Cached ops are shared by every cell, so executing must not
+        write into them."""
+        cached = generate_workload(get_profile("mcf"), 300, seed=4)
+        Simulator(build_system(SystemConfig(), seed=4),
+                  use_packed=False).run(cached)
+        fresh = TraceGenerator(get_profile("mcf"), seed=4).generate(300)
+        assert [t.ops for t in cached] == [t.ops for t in fresh]
+
 
 class TestTierOrder:
     """The LRU answers first, the disk tier second, generation last."""
@@ -241,7 +253,7 @@ class TestCampaignTraces:
         result = self._campaign(jobs=2).run()
         summary = result.stats.summary()
         assert summary.startswith(
-            "4 executed, 0 store hits, 0 memory hits (0% cached)")
+            "4 executed, 0 store hits (0% cached)")
         assert "trace" not in summary
 
     def test_parallel_campaign_has_no_materialise_phase(self):
